@@ -456,46 +456,6 @@ func BenchmarkAblationSimilarityMetrics(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDedupLSH compares exact O(n^2) candidate generation
-// against the MinHash/LSH index on the full corpus.
-func BenchmarkAblationDedupLSH(b *testing.B) {
-	gt, err := corpus.Generate(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	texts := specdoc.WriteAll(gt.DB, specdoc.WriteOptions{})
-	truth := make(map[string]string)
-	for _, e := range gt.DB.Errata() {
-		truth[corpus.EntryRef(e)] = e.Key
-	}
-	oracle := func(x, y *core.Erratum) bool {
-		return truth[corpus.EntryRef(x)] != "" && truth[corpus.EntryRef(x)] == truth[corpus.EntryRef(y)]
-	}
-	for _, useLSH := range []bool{false, true} {
-		name := "exact-scan"
-		if useLSH {
-			name = "minhash-lsh"
-		}
-		b.Run(name, func(b *testing.B) {
-			uniq := 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db, _, err := specdoc.ParseAll(texts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := dedup.Deduplicate(db, dedup.Options{Oracle: oracle, UseLSH: useLSH})
-				if err != nil {
-					b.Fatal(err)
-				}
-				uniq = res.UniqueIntel
-			}
-			b.ReportMetric(float64(uniq), "unique")
-		})
-	}
-}
-
 // BenchmarkAblationClassifyKernel ablates the two layers of the
 // classify matching kernel — the Aho-Corasick literal prefilter and the
 // per-clause memo cache — on the built database's unique errata. All

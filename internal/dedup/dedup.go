@@ -28,7 +28,8 @@ import (
 // Options configures deduplication.
 type Options struct {
 	// Metric is the title-similarity metric used to rank the manual
-	// review candidates. Defaults to Jaccard.
+	// review candidates. Defaults to Jaccard; an unknown metric is an
+	// error.
 	Metric textsim.Metric
 	// Threshold is the minimum similarity for a pair to be surfaced for
 	// review. The zero value selects the default 0.6; use SetThreshold
@@ -45,11 +46,6 @@ type Options struct {
 	// MaxReviews caps the number of oracle consultations (0 = no cap),
 	// mirroring the bounded human effort of the paper.
 	MaxReviews int
-	// UseLSH switches candidate generation from the exact O(n^2) scan
-	// to a MinHash/LSH index (near-linear; slight recall loss). The
-	// LSH path always ranks candidates by exact Jaccard similarity, so
-	// only candidate *generation* is approximate.
-	UseLSH bool
 	// Parallelism bounds the worker pool for candidate *scoring* (0 =
 	// GOMAXPROCS, 1 = sequential). Oracle consultation stays sequential
 	// regardless: it mutates DSU state, so review order is load-bearing.
@@ -90,6 +86,9 @@ type Result struct {
 // Deduplicate assigns cluster keys to every erratum of the database and
 // returns run statistics. Existing keys are overwritten.
 func Deduplicate(db *core.Database, opts Options) (*Result, error) {
+	if err := opts.Metric.Validate(); err != nil {
+		return nil, fmt.Errorf("dedup: %w", err)
+	}
 	if opts.Metric == "" {
 		opts.Metric = textsim.MetricJaccard
 	}
@@ -131,19 +130,7 @@ func dedupIntel(db *core.Database, opts Options, res *Result) error {
 	dsu := NewDSU(len(entries))
 
 	// Stage 1: exact normalized-title clustering.
-	byTitle := make(map[string][]int)
-	for i, e := range entries {
-		n := textsim.Normalize(e.Title)
-		byTitle[n] = append(byTitle[n], i)
-	}
-	for _, idxs := range byTitle {
-		for i := 1; i < len(idxs); i++ {
-			dsu.Union(idxs[0], idxs[i])
-		}
-		if len(idxs) > 1 {
-			res.ExactTitleClusters++
-		}
-	}
+	res.ExactTitleClusters = clusterExactTitles(entries, dsu)
 
 	// Stage 2: similarity-ranked review of remaining candidates. One
 	// representative per cluster suffices, since merged entries share a
@@ -154,11 +141,9 @@ func dedupIntel(db *core.Database, opts Options, res *Result) error {
 		// normalized titles and no identical-title pair can resurface
 		// here.
 		reps := clusterRepresentatives(dsu, len(entries))
-		var cands []candidate
-		if opts.UseLSH {
-			cands = lshCandidates(entries, reps, opts.Threshold)
-		} else {
-			cands = exactCandidates(entries, reps, opts.Metric, opts.Threshold, opts.Parallelism)
+		cands, err := exactCandidates(entries, reps, opts.Metric, opts.Threshold, opts.Parallelism)
+		if err != nil {
+			return err
 		}
 		for _, c := range cands {
 			if opts.MaxReviews > 0 && len(res.Reviewed) >= opts.MaxReviews {
@@ -184,6 +169,27 @@ func dedupIntel(db *core.Database, opts Options, res *Result) error {
 	return nil
 }
 
+// clusterExactTitles unions every pair of entries with equal normalized
+// titles and returns the number of such clusters with more than one
+// entry.
+func clusterExactTitles(entries []*core.Erratum, dsu *DSU) int {
+	byTitle := make(map[string][]int)
+	for i, e := range entries {
+		n := textsim.Normalize(e.Title)
+		byTitle[n] = append(byTitle[n], i)
+	}
+	clusters := 0
+	for _, idxs := range byTitle {
+		for i := 1; i < len(idxs); i++ {
+			dsu.Union(idxs[0], idxs[i])
+		}
+		if len(idxs) > 1 {
+			clusters++
+		}
+	}
+	return clusters
+}
+
 // candidate is a scored candidate pair of entry indices.
 type candidate struct {
 	i, j  int
@@ -203,41 +209,31 @@ func sortCandidates(cands []candidate) {
 }
 
 // exactCandidates scans all representative pairs (O(n^2)), sharded by
-// row across the worker pool. Per-row matches are merged in row order,
-// so the pre-sort candidate sequence — and with sortCandidates' total
-// (score, i, j) ordering, the final ranking — is identical to the
-// sequential scan at every worker count.
-func exactCandidates(entries []*core.Erratum, reps []int, metric textsim.Metric, threshold float64, workers int) []candidate {
+// row across the worker pool. The representatives' titles are prepared
+// once by a textsim.Scorer, so each pair costs one kernel call. Per-row
+// matches are merged in row order, so the pre-sort candidate sequence —
+// and with sortCandidates' total (score, i, j) ordering, the final
+// ranking — is identical to the sequential scan at every worker count.
+func exactCandidates(entries []*core.Erratum, reps []int, metric textsim.Metric, threshold float64, workers int) ([]candidate, error) {
+	titles := make([]string, len(reps))
+	for a, i := range reps {
+		titles[a] = entries[i].Title
+	}
+	scorer, err := textsim.NewScorer(metric, titles)
+	if err != nil {
+		return nil, fmt.Errorf("dedup: %w", err)
+	}
 	cands := parallel.Gather(len(reps), workers, func(a int) []candidate {
 		var row []candidate
-		i := reps[a]
 		for b := a + 1; b < len(reps); b++ {
-			j := reps[b]
-			s := textsim.Similarity(metric, entries[i].Title, entries[j].Title)
-			if s >= threshold {
-				row = append(row, candidate{i: i, j: j, score: s})
+			if s := scorer.Score(a, b); s >= threshold {
+				row = append(row, candidate{i: reps[a], j: reps[b], score: s})
 			}
 		}
 		return row
 	})
 	sortCandidates(cands)
-	return cands
-}
-
-// lshCandidates generates candidates through a MinHash/LSH index and
-// scores colliding pairs exactly. Candidate generation is already
-// near-linear, so it stays sequential.
-func lshCandidates(entries []*core.Erratum, reps []int, threshold float64) []candidate {
-	idx := textsim.NewLSHIndex(16, 4)
-	for _, i := range reps {
-		idx.Add(entries[i].Title)
-	}
-	var cands []candidate
-	for _, p := range idx.CandidatePairs(threshold) {
-		cands = append(cands, candidate{i: reps[p.I], j: reps[p.J], score: p.Score})
-	}
-	sortCandidates(cands)
-	return cands
+	return cands, nil
 }
 
 // clusterRepresentatives returns one index per DSU cluster, choosing the

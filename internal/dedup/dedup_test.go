@@ -404,44 +404,135 @@ func TestRepresentativesHaveDistinctNorms(t *testing.T) {
 	}
 }
 
-// TestLSHMatchesExactOnFullCorpus runs the full-corpus dedup through
-// the LSH candidate generator and checks it recovers the same unique
-// counts and confirmed pairs as the exact scan.
-func TestLSHMatchesExactOnFullCorpus(t *testing.T) {
-	gt, err := corpus.Generate(3)
+// corpusDB parses the rendered documents of corpus seed and returns the
+// database with a ground-truth oracle: the simulated manual inspection
+// confirms a pair iff both entries share a lineage.
+func corpusDB(tb testing.TB, seed int64) (*core.Database, func(a, b *core.Erratum) bool) {
+	tb.Helper()
+	gt, err := corpus.Generate(seed)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	texts := specdoc.WriteAll(gt.DB, specdoc.WriteOptions{})
+	db, _, err := specdoc.ParseAll(specdoc.WriteAll(gt.DB, specdoc.WriteOptions{}))
+	if err != nil {
+		tb.Fatal(err)
+	}
 	truth := make(map[string]string)
 	for _, e := range gt.DB.Errata() {
 		truth[corpus.EntryRef(e)] = e.Key
 	}
-	oracle := func(a, b *core.Erratum) bool {
-		return truth[corpus.EntryRef(a)] != "" &&
-			truth[corpus.EntryRef(a)] == truth[corpus.EntryRef(b)]
+	return db, func(a, b *core.Erratum) bool {
+		return truth[corpus.EntryRef(a)] != "" && truth[corpus.EntryRef(a)] == truth[corpus.EntryRef(b)]
 	}
+}
 
-	db, _, err := specdoc.ParseAll(texts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Deduplicate(db, Options{Oracle: oracle, UseLSH: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UniqueIntel != corpusprofile.TargetIntelUnique {
-		t.Errorf("LSH unique Intel = %d, want %d", res.UniqueIntel, corpusprofile.TargetIntelUnique)
-	}
-	if res.ConfirmedPairs != 29 {
-		t.Errorf("LSH confirmed pairs = %d, want 29", res.ConfirmedPairs)
-	}
-	// The LSH path reviews far fewer than the exact candidate volume
-	// would at a low threshold, but every reviewed pair must be genuine
-	// (score at or above the threshold).
-	for _, p := range res.Reviewed {
-		if p.Score < 0.6 {
-			t.Errorf("reviewed pair below threshold: %v", p.Score)
+// referenceReview is the stage-2 review over a plain sequential scan
+// that scores every representative pair from the title strings.
+func referenceReview(t *testing.T, db *core.Database, metric textsim.Metric, threshold float64, oracle func(a, b *core.Erratum) bool) []CandidatePair {
+	t.Helper()
+	entries := db.VendorErrata(core.Intel)
+	dsu := NewDSU(len(entries))
+	clusterExactTitles(entries, dsu)
+	reps := clusterRepresentatives(dsu, len(entries))
+	var cands []candidate
+	for a, i := range reps {
+		for _, j := range reps[a+1:] {
+			s, err := textsim.Similarity(metric, entries[i].Title, entries[j].Title)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s >= threshold {
+				cands = append(cands, candidate{i: i, j: j, score: s})
+			}
 		}
+	}
+	sortCandidates(cands)
+	var reviewed []CandidatePair
+	for _, c := range cands {
+		if dsu.Find(c.i) == dsu.Find(c.j) {
+			continue
+		}
+		confirmed := oracle(entries[c.i], entries[c.j])
+		reviewed = append(reviewed, CandidatePair{A: entries[c.i], B: entries[c.j], Score: c.score, Confirmed: confirmed})
+		if confirmed {
+			dsu.Union(c.i, c.j)
+		}
+	}
+	return reviewed
+}
+
+// TestReviewedMatchesStringScan pins prepared candidate scoring to the
+// string-pair scan it replaced: the reviewed pairs, their scores and
+// their review order are identical for every metric, at thresholds 0
+// and 0.6 and at 1 and 8 workers. The database is the corpus's last
+// three Intel generations, which keeps the threshold-0 review (every
+// representative pair, ~16k) small.
+func TestReviewedMatchesStringScan(t *testing.T) {
+	full, oracle := corpusDB(t, 3)
+	db := core.NewDatabase()
+	for _, key := range []string{"intel-10", "intel-11", "intel-12"} {
+		if err := db.Add(full.Docs[key]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, metric := range []textsim.Metric{textsim.MetricJaccard, textsim.MetricDice, textsim.MetricLevenshtein, textsim.MetricShingle2} {
+		for _, threshold := range []float64{0, 0.6} {
+			want := referenceReview(t, db, metric, threshold, oracle)
+			if len(want) == 0 {
+				t.Fatalf("%s@%v: reference reviewed no pairs", metric, threshold)
+			}
+			for _, workers := range []int{1, 8} {
+				opts := Options{Metric: metric, Oracle: oracle, Parallelism: workers}
+				opts.SetThreshold(threshold)
+				res, err := Deduplicate(db, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Reviewed) != len(want) {
+					t.Fatalf("%s@%v workers=%d: reviewed %d pairs, reference %d", metric, threshold, workers, len(res.Reviewed), len(want))
+				}
+				for k, got := range res.Reviewed {
+					if got != want[k] {
+						t.Fatalf("%s@%v workers=%d: review %d = (%s,%s,%v,%v), reference (%s,%s,%v,%v)",
+							metric, threshold, workers, k, got.A.FullID(), got.B.FullID(), got.Score, got.Confirmed,
+							want[k].A.FullID(), want[k].B.FullID(), want[k].Score, want[k].Confirmed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnknownMetric is the regression test for the silent Jaccard
+// fallback: a misspelled metric must fail, with or without an oracle,
+// instead of building with Jaccard scores.
+func TestUnknownMetric(t *testing.T) {
+	for _, oracle := range []func(a, b *core.Erratum) bool{nil, func(a, b *core.Erratum) bool { return false }} {
+		if _, err := Deduplicate(buildSmallDB(t), Options{Metric: "jacard", Oracle: oracle}); err == nil {
+			t.Error("Deduplicate accepted an unknown metric")
+		}
+	}
+	if _, err := Deduplicate(buildSmallDB(t), Options{Metric: ""}); err != nil {
+		t.Errorf("empty metric: %v", err)
+	}
+}
+
+// BenchmarkExactCandidates measures stage-2 candidate generation —
+// preparing the representatives' titles and scoring every pair — over
+// the full corpus's Intel cluster representatives.
+func BenchmarkExactCandidates(b *testing.B) {
+	db, _ := corpusDB(b, 1)
+	entries := db.VendorErrata(core.Intel)
+	dsu := NewDSU(len(entries))
+	clusterExactTitles(entries, dsu)
+	reps := clusterRepresentatives(dsu, len(entries))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands, err := exactCandidates(entries, reps, textsim.MetricJaccard, 0.6, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(cands)), "candidates")
 	}
 }

@@ -9,7 +9,9 @@
 package textsim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -47,54 +49,13 @@ func Tokens(s string) []string {
 	return strings.Fields(n)
 }
 
-// tokenSet returns the set of distinct tokens of s.
-func tokenSet(s string) map[string]struct{} {
-	set := make(map[string]struct{})
-	for _, t := range Tokens(s) {
-		set[t] = struct{}{}
-	}
-	return set
-}
-
 // Jaccard returns the Jaccard similarity of the token sets of a and b
 // in [0,1]. Two empty strings are considered identical (1).
-func Jaccard(a, b string) float64 {
-	sa, sb := tokenSet(a), tokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
+func Jaccard(a, b string) float64 { return pairScore(MetricJaccard, a, b) }
 
 // Dice returns the Sørensen-Dice coefficient of the token sets of a and
 // b in [0,1].
-func Dice(a, b string) float64 {
-	sa, sb := tokenSet(a), tokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	den := len(sa) + len(sb)
-	if den == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(den)
-}
+func Dice(a, b string) float64 { return pairScore(MetricDice, a, b) }
 
 // Levenshtein returns the edit distance between the normalized forms of
 // a and b, counting insertions, deletions and substitutions as 1.
@@ -103,9 +64,8 @@ func Levenshtein(a, b string) int {
 }
 
 // levenshteinRunes is the edit-distance kernel over already-normalized
-// rune slices, so that callers holding normalized text (the dedup
-// candidate-scoring hot loop via LevenshteinSimilarity) pay for
-// normalization exactly once.
+// rune slices, so that callers holding normalized text (a Scorer's
+// prepared titles) pay for normalization exactly once.
 func levenshteinRunes(ra, rb []rune) int {
 	if len(ra) == 0 {
 		return len(rb)
@@ -134,17 +94,7 @@ func levenshteinRunes(ra, rb []rune) int {
 
 // LevenshteinSimilarity maps the edit distance to a similarity in [0,1]:
 // 1 - dist/maxLen. Two empty strings are identical.
-func LevenshteinSimilarity(a, b string) float64 {
-	ra, rb := []rune(Normalize(a)), []rune(Normalize(b))
-	maxLen := len(ra)
-	if len(rb) > maxLen {
-		maxLen = len(rb)
-	}
-	if maxLen == 0 {
-		return 1
-	}
-	return 1 - float64(levenshteinRunes(ra, rb))/float64(maxLen)
-}
+func LevenshteinSimilarity(a, b string) float64 { return pairScore(MetricLevenshtein, a, b) }
 
 func minInt(a, b, c int) int {
 	if b < a {
@@ -160,17 +110,25 @@ func minInt(a, b, c int) int {
 // tokens joined by a space) of s. For fewer than n tokens, the whole
 // token sequence is the single shingle.
 func Shingles(s string, n int) map[string]struct{} {
-	toks := Tokens(s)
 	out := make(map[string]struct{})
+	for _, sh := range shingles(Tokens(s), n) {
+		out[sh] = struct{}{}
+	}
+	return out
+}
+
+// shingles lists the n-grams of toks, possibly with repeats; see
+// Shingles.
+func shingles(toks []string, n int) []string {
 	if len(toks) == 0 || n <= 0 {
-		return out
+		return nil
 	}
 	if len(toks) < n {
-		out[strings.Join(toks, " ")] = struct{}{}
-		return out
+		return []string{strings.Join(toks, " ")}
 	}
+	out := make([]string, 0, len(toks)-n+1)
 	for i := 0; i+n <= len(toks); i++ {
-		out[strings.Join(toks[i:i+n], " ")] = struct{}{}
+		out = append(out, strings.Join(toks[i:i+n], " "))
 	}
 	return out
 }
@@ -178,21 +136,161 @@ func Shingles(s string, n int) map[string]struct{} {
 // ShingleJaccard returns the Jaccard similarity of the n-gram shingle
 // sets of a and b.
 func ShingleJaccard(a, b string, n int) float64 {
-	sa, sb := Shingles(a, n), Shingles(b, n)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
+	sets := internSets([]string{a, b}, func(s string) []string { return shingles(Tokens(s), n) })
+	return jaccardIDs(sets[0], sets[1])
+}
+
+// Metric names a similarity function usable for duplicate ranking.
+type Metric string
+
+// Supported similarity metrics.
+const (
+	MetricJaccard     Metric = "jaccard"
+	MetricDice        Metric = "dice"
+	MetricLevenshtein Metric = "levenshtein"
+	MetricShingle2    Metric = "shingle2"
+)
+
+// Validate reports an error for a metric NewScorer does not know. The
+// empty metric is valid and selects Jaccard.
+func (m Metric) Validate() error {
+	switch m {
+	case "", MetricJaccard, MetricDice, MetricLevenshtein, MetricShingle2:
+		return nil
 	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
+	return fmt.Errorf("textsim: unknown similarity metric %q", string(m))
+}
+
+// Similarity computes the named metric on a pair of strings. It
+// returns an error for a metric that Validate rejects.
+func Similarity(m Metric, a, b string) (float64, error) {
+	s, err := NewScorer(m, []string{a, b})
+	if err != nil {
+		return 0, err
+	}
+	return s.Score(0, 1), nil
+}
+
+// pairScore is Similarity for the package's own metric constants, which
+// cannot fail.
+func pairScore(m Metric, a, b string) float64 {
+	s, _ := Similarity(m, a, b)
+	return s
+}
+
+// Scorer scores pairs of a fixed text collection under one metric. It
+// prepares every text once — normalized, tokenized and interned into a
+// sorted set of integer IDs (or normalized runes for Levenshtein) — so
+// that scoring a pair costs one merge or one edit-distance pass instead
+// of re-tokenizing both texts. Scores are bit-identical to the string
+// functions, which are wrappers over the same kernels. A Scorer is
+// immutable after construction and safe for concurrent use.
+type Scorer struct {
+	metric Metric
+	sets   [][]uint32 // Jaccard, Dice, Shingle2: sorted distinct IDs
+	runes  [][]rune   // Levenshtein: normalized text
+}
+
+// NewScorer prepares texts for scoring under metric m (the empty metric
+// selects Jaccard). It returns an error for an unknown metric.
+func NewScorer(m Metric, texts []string) (*Scorer, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if m == "" {
+		m = MetricJaccard
+	}
+	s := &Scorer{metric: m}
+	switch m {
+	case MetricLevenshtein:
+		s.runes = make([][]rune, len(texts))
+		for i, t := range texts {
+			s.runes[i] = []rune(Normalize(t))
+		}
+	case MetricShingle2:
+		s.sets = internSets(texts, func(t string) []string { return shingles(Tokens(t), 2) })
+	default:
+		s.sets = internSets(texts, Tokens)
+	}
+	return s, nil
+}
+
+// Score returns the similarity of texts i and j in [0,1].
+func (s *Scorer) Score(i, j int) float64 {
+	switch s.metric {
+	case MetricLevenshtein:
+		return levenshteinSimilarity(s.runes[i], s.runes[j])
+	case MetricDice:
+		return diceIDs(s.sets[i], s.sets[j])
+	default:
+		return jaccardIDs(s.sets[i], s.sets[j])
+	}
+}
+
+// internSets maps every text to the sorted, deduplicated IDs of its
+// items, interning items into one dictionary shared by all texts.
+func internSets(texts []string, items func(string) []string) [][]uint32 {
+	dict := make(map[string]uint32)
+	sets := make([][]uint32, len(texts))
+	for i, t := range texts {
+		var ids []uint32
+		for _, it := range items(t) {
+			id, ok := dict[it]
+			if !ok {
+				id = uint32(len(dict))
+				dict[it] = id
+			}
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		sets[i] = slices.Compact(ids)
+	}
+	return sets
+}
+
+// intersectIDs counts the IDs common to two sorted, distinct ID sets.
+func intersectIDs(a, b []uint32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
 		}
 	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
+	return n
+}
+
+// jaccardIDs is |a∩b| / |a∪b|; two empty sets are identical.
+func jaccardIDs(a, b []uint32) float64 {
+	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	return float64(inter) / float64(union)
+	inter := intersectIDs(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+// diceIDs is 2|a∩b| / (|a|+|b|); two empty sets are identical.
+func diceIDs(a, b []uint32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	return 2 * float64(intersectIDs(a, b)) / float64(len(a)+len(b))
+}
+
+// levenshteinSimilarity is 1 - dist/maxLen over normalized runes; two
+// empty texts are identical.
+func levenshteinSimilarity(ra, rb []rune) float64 {
+	maxLen := max(len(ra), len(rb))
+	if maxLen == 0 {
+		return 1
+	}
+	return 1 - float64(levenshteinRunes(ra, rb))/float64(maxLen)
 }
 
 // Corpus supports TF-IDF cosine similarity over a document collection.
@@ -341,31 +439,4 @@ func (c *Corpus) RankPairsParallel(min float64, workers int) []Pair {
 		return out[a].J < out[b].J
 	})
 	return out
-}
-
-// Metric names a similarity function usable for duplicate ranking; used
-// by the ablation benchmarks.
-type Metric string
-
-// Supported similarity metrics.
-const (
-	MetricJaccard     Metric = "jaccard"
-	MetricDice        Metric = "dice"
-	MetricLevenshtein Metric = "levenshtein"
-	MetricShingle2    Metric = "shingle2"
-)
-
-// Similarity computes the named metric on a pair of strings. Unknown
-// metrics fall back to Jaccard.
-func Similarity(m Metric, a, b string) float64 {
-	switch m {
-	case MetricDice:
-		return Dice(a, b)
-	case MetricLevenshtein:
-		return LevenshteinSimilarity(a, b)
-	case MetricShingle2:
-		return ShingleJaccard(a, b, 2)
-	default:
-		return Jaccard(a, b)
-	}
 }

@@ -181,11 +181,35 @@ func TestRankPairs(t *testing.T) {
 
 func TestSimilarityDispatch(t *testing.T) {
 	a, b := "processor hang", "processor hang"
-	for _, m := range []Metric{MetricJaccard, MetricDice, MetricLevenshtein, MetricShingle2, Metric("unknown")} {
-		if got := Similarity(m, a, b); got != 1 {
-			t.Errorf("Similarity(%s) identical = %v", m, got)
+	for _, m := range []Metric{MetricJaccard, MetricDice, MetricLevenshtein, MetricShingle2, ""} {
+		if got := mustSimilarity(t, m, a, b); got != 1 {
+			t.Errorf("Similarity(%q) identical = %v", m, got)
 		}
 	}
+	if got, want := mustSimilarity(t, "", "a b c d", "a b"), Jaccard("a b c d", "a b"); got != want {
+		t.Errorf("empty metric = %v, want Jaccard %v", got, want)
+	}
+
+	// An unknown metric is an error, not a silent Jaccard fallback.
+	unknown := Metric("jacard")
+	if err := unknown.Validate(); err == nil {
+		t.Error("Validate accepted an unknown metric")
+	}
+	if _, err := NewScorer(unknown, []string{a, b}); err == nil {
+		t.Error("NewScorer accepted an unknown metric")
+	}
+	if _, err := Similarity(unknown, a, b); err == nil {
+		t.Error("Similarity accepted an unknown metric")
+	}
+}
+
+func mustSimilarity(t *testing.T, m Metric, a, b string) float64 {
+	t.Helper()
+	s, err := Similarity(m, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // Properties of the similarity metrics.
@@ -201,8 +225,8 @@ func TestPropertySymmetryAndRange(t *testing.T) {
 	f := func(a, b string) bool {
 		a, b = clip(a), clip(b)
 		for _, m := range []Metric{MetricJaccard, MetricDice, MetricLevenshtein, MetricShingle2} {
-			ab := Similarity(m, a, b)
-			ba := Similarity(m, b, a)
+			ab := mustSimilarity(t, m, a, b)
+			ba := mustSimilarity(t, m, b, a)
 			if math.Abs(ab-ba) > 1e-9 {
 				return false
 			}
@@ -221,7 +245,7 @@ func TestPropertyIdentity(t *testing.T) {
 	f := func(a string) bool {
 		a = clip(a)
 		for _, m := range []Metric{MetricJaccard, MetricDice, MetricLevenshtein, MetricShingle2} {
-			if Similarity(m, a, a) != 1 {
+			if mustSimilarity(t, m, a, a) != 1 {
 				return false
 			}
 		}
@@ -268,13 +292,5 @@ func BenchmarkLevenshtein(b *testing.B) {
 	y := "Processor Might Hang During Power State Transitions"
 	for i := 0; i < b.N; i++ {
 		Levenshtein(x, y)
-	}
-}
-
-func BenchmarkMinHashSignature(b *testing.B) {
-	m := NewMinHasher(64)
-	x := "Processor May Hang During Power State Transitions Under Load"
-	for i := 0; i < b.N; i++ {
-		m.Signature(x)
 	}
 }

@@ -55,8 +55,8 @@ func TestOptionOrderAndLegacyReplacement(t *testing.T) {
 
 	// A legacy struct wipes earlier options; later ones still apply.
 	legacy := BuildOptions{Seed: 4}
-	got := apply(WithParallelism(8), legacy, WithLSH(true))
-	if got.Seed != 4 || got.Parallelism != 0 || !got.UseLSH {
+	got := apply(WithParallelism(8), legacy, WithSimilarityMetric("dice"))
+	if got.Seed != 4 || got.Parallelism != 0 || got.SimilarityMetric != "dice" {
 		t.Errorf("legacy replacement semantics broken: %+v", got)
 	}
 	// The zero-valued legacy fields resolve exactly as the old
@@ -69,6 +69,16 @@ func TestOptionOrderAndLegacyReplacement(t *testing.T) {
 	// The explicit-zero setters keep their semantics through options.
 	if n := apply(WithSimilarityThreshold(0)).normalized(); n.SimilarityThreshold != 0 {
 		t.Errorf("WithSimilarityThreshold(0) resolved to %v, want explicit 0", n.SimilarityThreshold)
+	}
+}
+
+// TestUnknownSimilarityMetricFailsBuild is the regression test for the
+// silent Jaccard fallback: a misspelled metric fails the build instead
+// of building with Jaccard scores under a distinct cache fingerprint.
+func TestUnknownSimilarityMetricFailsBuild(t *testing.T) {
+	_, _, err := Build(WithSeed(1), WithSimilarityMetric("jacard"))
+	if err == nil || !strings.Contains(err.Error(), `unknown similarity metric "jacard"`) {
+		t.Fatalf("Build with an unknown metric: err = %v, want an unknown-metric error", err)
 	}
 }
 

@@ -135,7 +135,7 @@ func WithSeed(seed int64) Option {
 }
 
 // WithSimilarityMetric selects the title-similarity metric that ranks
-// duplicate candidates.
+// duplicate candidates. Build fails on an unknown metric.
 func WithSimilarityMetric(m Metric) Option {
 	return optionFunc(func(o *BuildOptions) { o.SimilarityMetric = m })
 }
@@ -146,12 +146,6 @@ func WithSimilarityMetric(m Metric) Option {
 // back to the default 0.6.
 func WithSimilarityThreshold(t float64) Option {
 	return optionFunc(func(o *BuildOptions) { o.SetSimilarityThreshold(t) })
-}
-
-// WithLSH switches duplicate-candidate generation to the MinHash/LSH
-// index.
-func WithLSH(on bool) Option {
-	return optionFunc(func(o *BuildOptions) { o.UseLSH = on })
 }
 
 // WithInterpolation enables or disables sequential-number disclosure
@@ -211,16 +205,14 @@ type BuildOptions struct {
 	// processes; the same seed reproduces the same database bit for bit.
 	Seed int64
 	// SimilarityMetric ranks Intel duplicate candidates (default
-	// Jaccard; see the ablation benchmarks for alternatives).
+	// Jaccard; see the ablation benchmarks for alternatives). Build
+	// fails on an unknown metric.
 	SimilarityMetric Metric
 	// SimilarityThreshold is the minimum title similarity for a
 	// candidate pair to be reviewed. The zero value selects the default
 	// 0.6; use SetSimilarityThreshold to request an explicit threshold
 	// of 0 ("review every candidate pair").
 	SimilarityThreshold float64
-	// UseLSH switches duplicate-candidate generation to the MinHash/LSH
-	// index (near-linear instead of the exact O(n^2) scan).
-	UseLSH bool
 	// Interpolate enables sequential-number disclosure interpolation
 	// (default true, as in the paper).
 	Interpolate bool

@@ -336,11 +336,10 @@ func buildStages(opts BuildOptions) []*pipeline.Stage {
 			},
 		},
 		{
-			ID: "dedup", Version: "v2", Inputs: []string{"parse", "corpus"},
+			ID: "dedup", Version: "v3", Inputs: []string{"parse", "corpus"},
 			Config: pipeline.Fingerprint(
 				"metric="+string(opts.SimilarityMetric),
 				"threshold="+strconv.FormatFloat(opts.SimilarityThreshold, 'g', -1, 64),
-				"lsh="+strconv.FormatBool(opts.UseLSH),
 			),
 			Run: func(c *pipeline.Ctx) (any, error) {
 				v0, err := c.Input(0)
@@ -367,7 +366,6 @@ func buildStages(opts BuildOptions) []*pipeline.Stage {
 				dopts := dedup.Options{
 					Metric:      opts.SimilarityMetric,
 					Oracle:      oracle,
-					UseLSH:      opts.UseLSH,
 					Parallelism: opts.Parallelism,
 				}
 				// The threshold is already resolved, so pass it
