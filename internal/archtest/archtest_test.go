@@ -4,8 +4,6 @@
 //
 //   - pkg/ and plugins/ must not import internal/ — the public
 //     contracts and the plugins written against them must stand alone.
-//     The single sanctioned exception is pkg/storage, whose drivers
-//     adapt internal/store.
 //   - internal/ must not import plugins/ — implementations depend on
 //     the plugin contract, never on concrete plugin packages. (Test
 //     files are exempt: test binaries are composition roots and may
@@ -28,13 +26,6 @@ import (
 
 // module is the module path imports are matched against.
 const module = "repro"
-
-// internalImportAllowlist maps a package directory (relative to the
-// repo root, slash-separated) to the internal imports it alone may
-// use.
-var internalImportAllowlist = map[string]map[string]bool{
-	"pkg/storage": {module + "/internal/store": true},
-}
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -98,19 +89,14 @@ func imports(t *testing.T, path string) []string {
 
 // TestPkgAndPluginsDoNotImportInternal is the outward-facing guard:
 // the public contracts (pkg/) and the plugins written against them
-// must not reach into internal/, with pkg/storage's store adapters as
-// the single allowlisted exception. pkg/ additionally must not import
+// must not reach into internal/. pkg/ additionally must not import
 // plugins/ — contracts never depend on implementations.
 func TestPkgAndPluginsDoNotImportInternal(t *testing.T) {
 	root := repoRoot(t)
 	for _, dir := range []string{"pkg", "plugins"} {
 		for _, rel := range sourceFiles(t, root, dir) {
-			pkgDir := filepath.ToSlash(filepath.Dir(rel))
 			for _, imp := range imports(t, filepath.Join(root, rel)) {
 				if imp == module+"/internal" || strings.HasPrefix(imp, module+"/internal/") {
-					if internalImportAllowlist[pkgDir][imp] {
-						continue
-					}
 					t.Errorf("%s imports %s: %s/ must not import internal/", rel, imp, dir)
 				}
 				if dir == "pkg" && (imp == module+"/plugins" || strings.HasPrefix(imp, module+"/plugins/")) {
@@ -132,26 +118,6 @@ func TestInternalDoesNotImportPlugins(t *testing.T) {
 		for _, imp := range imports(t, filepath.Join(root, rel)) {
 			if imp == module+"/plugins" || strings.HasPrefix(imp, module+"/plugins/") {
 				t.Errorf("%s imports %s: internal/ must not import plugins/", rel, imp)
-			}
-		}
-	}
-}
-
-// TestAllowlistEntriesStillUsed keeps the exception list honest: an
-// allowlisted import that no file uses anymore should be deleted, not
-// linger as a standing permission.
-func TestAllowlistEntriesStillUsed(t *testing.T) {
-	root := repoRoot(t)
-	for pkgDir, allowed := range internalImportAllowlist {
-		used := map[string]bool{}
-		for _, rel := range sourceFiles(t, root, pkgDir) {
-			for _, imp := range imports(t, filepath.Join(root, rel)) {
-				used[imp] = true
-			}
-		}
-		for imp := range allowed {
-			if !used[imp] {
-				t.Errorf("allowlist entry %s -> %s is unused; remove it", pkgDir, imp)
 			}
 		}
 	}

@@ -1,73 +1,36 @@
 package index
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/corpus"
 )
 
-// TestFromPartsEquivalence proves the persisted-postings path: an index
-// reassembled from Parts answers every query identically to one built
-// by walking annotations, and re-extracting Parts is a fixed point.
-func TestFromPartsEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 19} {
-		gt, err := corpus.Generate(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		built := Build(gt.DB)
-		parts := built.Parts()
-		loaded, err := FromParts(gt.DB, parts)
-		if err != nil {
-			t.Fatalf("seed %d: FromParts: %v", seed, err)
-		}
-		if !reflect.DeepEqual(loaded.Parts(), parts) {
-			t.Fatalf("seed %d: Parts(FromParts(Parts())) is not a fixed point", seed)
-		}
-		if built.Size() != loaded.Size() || built.UniqueCount() != loaded.UniqueCount() {
-			t.Fatalf("seed %d: size %d/%d vs %d/%d", seed,
-				built.Size(), built.UniqueCount(), loaded.Size(), loaded.UniqueCount())
-		}
-		for ord := 0; ord < built.Size(); ord++ {
-			if built.Entry(ord) != loaded.Entry(ord) {
-				t.Fatalf("seed %d: ordinal %d resolves to different entries", seed, ord)
-			}
-		}
-		// Cross-check a few query shapes end to end.
-		for _, q := range []struct {
-			name string
-			run  func(ix *Index) int
-		}{
-			{"complex", func(ix *Index) int { return ix.Query().Complex().Count() }},
-			{"min-triggers", func(ix *Index) int { return ix.Query().MinTriggers(2).Count() }},
-			{"all", func(ix *Index) int { return len(ix.Query().All()) }},
-		} {
-			if a, b := q.run(built), q.run(loaded); a != b {
-				t.Fatalf("seed %d: query %s: built %d, loaded %d", seed, q.name, a, b)
-			}
-		}
-	}
-}
-
-// TestFromPartsRejects proves the validation on untrusted parts.
-func TestFromPartsRejects(t *testing.T) {
+// TestFromListsRejects proves the validation on untrusted parts. The
+// accepted path's store-level oracle is TestIndexListsEquivalence in
+// internal/store.
+func TestFromListsRejects(t *testing.T) {
 	gt, err := corpus.Generate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := Build(gt.DB).Parts()
-
-	bad := *good
-	bad.TriggerCount = good.TriggerCount[:len(good.TriggerCount)-1]
-	if _, err := FromParts(gt.DB, &bad); err == nil {
-		t.Fatal("FromParts accepted a short TriggerCount")
+	built := Build(gt.DB)
+	good := ListParts{UniqueOrds: built.uniqueOrds, TriggerCount: built.triggerCount}
+	if _, err := FromLists(gt.DB, &good); err != nil {
+		t.Fatalf("FromLists rejected well-formed parts: %v", err)
 	}
 
-	bad = *good
-	bad.UniqueOrds = append(append([]int(nil), good.UniqueOrds...), len(gt.DB.Errata()))
-	if _, err := FromParts(gt.DB, &bad); err == nil {
-		t.Fatal("FromParts accepted an out-of-range ordinal")
+	bad := good
+	counts := toInts(built.triggerCount)
+	bad.TriggerCount = Ords(counts[:len(counts)-1])
+	if _, err := FromLists(gt.DB, &bad); err == nil {
+		t.Fatal("FromLists accepted a short TriggerCount")
+	}
+
+	bad = good
+	bad.UniqueOrds = Ords(append(append([]int(nil), toInts(built.uniqueOrds)...), len(gt.DB.Errata())))
+	if _, err := FromLists(gt.DB, &bad); err == nil {
+		t.Fatal("FromLists accepted an out-of-range ordinal")
 	}
 }
 

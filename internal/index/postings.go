@@ -144,10 +144,14 @@ type ListParts struct {
 
 // FromLists reconstructs an Index over db from List-typed parts —
 // typically spans over a mapped FormatVersion 2 file — skipping both
-// the annotation walk and the postings materialization. The same
-// structural invariant FromParts checks is re-checked here; the store's
-// open-time validation already bounds-checked every ordinal and sorted
-// every list.
+// the annotation walk and the postings materialization. The parts must
+// describe an index over a database with the same Errata() order (the
+// store's v2 decoder guarantees this by checksumming the records and
+// postings together); only the cheap structural invariant — one
+// trigger count per entry, every unique ordinal in range — is
+// re-checked here, since the store's open-time validation already
+// bounds-checked every ordinal and sorted every list. db must not be
+// mutated while the index is in use.
 func FromLists(db *core.Database, p *ListParts) (*Index, error) {
 	errata := db.Errata()
 	if n := listLen(p.TriggerCount); n != len(errata) {

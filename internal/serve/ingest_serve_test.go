@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -107,6 +108,32 @@ func TestIngestEndpointRejectsBadDocument(t *testing.T) {
 	}
 	if srv.Generation() != gen {
 		t.Fatalf("bad document advanced the generation")
+	}
+}
+
+// TestIngestEndpointRejectsOversizedBody pins the 413 contract: a body
+// over maxIngestBytes is refused before the Ingest callback runs,
+// counted as an admin_ingest error, and leaves the served snapshot
+// untouched.
+func TestIngestEndpointRejectsOversizedBody(t *testing.T) {
+	called := false
+	srv := newDBServer(core.NewDatabase(), Options{Ingest: func(context.Context, string) (IngestSummary, error) {
+		called = true
+		return IngestSummary{}, nil
+	}})
+	gen := srv.Generation()
+	code, body := postIngest(t, srv, strings.Repeat("x", maxIngestBytes+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %s, want 413", code, truncate(body))
+	}
+	if called {
+		t.Fatal("oversized body reached the Ingest callback")
+	}
+	if got := srv.Metrics().Endpoints["admin_ingest"].Errors; got != 1 {
+		t.Fatalf("admin_ingest errors = %d, want 1", got)
+	}
+	if srv.Generation() != gen {
+		t.Fatal("oversized body advanced the generation")
 	}
 }
 

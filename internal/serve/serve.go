@@ -40,8 +40,10 @@
 // generation finish unperturbed. Response-cache entries are keyed by
 // generation, so a swap implicitly invalidates the cache without a
 // stop-the-world flush and a stale entry is never served for a newer
-// generation. When Options.Reloader is set, POST /v1/admin/reload
-// rebuilds (or re-loads) the database and swaps it in. The server is
+// generation. POST /v1/admin/reload swaps in a fresh snapshot from
+// Options.ReloadSource (a re-opened store file) or Options.Reloader (a
+// rebuilt or re-loaded database); ReloadSource wins when both are set,
+// and the endpoint answers 501 when neither is. The server is
 // safe for arbitrary concurrency: snapshots are immutable, the cache is
 // mutex-guarded, and the instruments are lock-free.
 package serve
@@ -93,7 +95,8 @@ type Options struct {
 	// POST /v1/admin/reload (and Server.Reload): typically a warm
 	// pipeline rebuild or a store-file load. The returned database is
 	// swapped in atomically; the reloader must not mutate it afterwards.
-	// When nil, the reload endpoint answers 501 Not Implemented.
+	// ReloadSource takes precedence when both are set; when neither is,
+	// the reload endpoint answers 501 Not Implemented.
 	Reloader func(ctx context.Context) (*core.Database, error)
 	// ReloadSource, when non-nil, produces a fresh store.Reader for
 	// POST /v1/admin/reload (and Server.Reload) — the store-backed
@@ -333,28 +336,6 @@ func New(opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// NewFromDatabase builds the index over db and returns a ready server
-// serving generation 1. The caller must not mutate db afterwards.
-//
-// Deprecated: use New(WithDatabase(db), opts).
-func NewFromDatabase(db *core.Database, opts Options) *Server {
-	s := newServer(opts)
-	s.Swap(db)
-	return s
-}
-
-// NewFromStore returns a ready server backed by an opened
-// FormatVersion 2 store.
-//
-// Deprecated: use New(WithStore(sv), opts).
-func NewFromStore(sv *store.StoreV2, opts Options) (*Server, error) {
-	s := newServer(opts)
-	if _, err := s.SwapReader(sv); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 func newServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	reg := opts.Observability
@@ -426,21 +407,7 @@ func newServer(opts Options) *Server {
 // entries of older generations are never served again (keys are
 // generation-scoped). The caller must not mutate db after Swap.
 func (s *Server) Swap(db *core.Database) uint64 {
-	snap := &snapshot{db: db, stats: db.ComputeStats()}
-	if s.opts.Shards > 0 {
-		snap.cluster = shard.Partition(db, s.opts.Shards)
-		for _, sh := range snap.cluster.Shards {
-			sh.IX.Instrument(s.reg)
-		}
-	} else {
-		snap.ix = index.Build(db)
-		snap.ix.Instrument(s.reg)
-	}
-	// Fragments are an optimization: on a (never-observed) marshal
-	// failure the snapshot serves through the encoding/json fallback.
-	if frags, err := store.BuildFragments(db); err == nil {
-		snap.frags = frags
-	}
+	snap, _ := s.buildSnapshot(db, nil) // cannot fail without a store
 	s.install(snap)
 	return snap.gen
 }
@@ -483,7 +450,7 @@ func (s *Server) SwapReader(r store.Reader) (uint64, error) {
 	if region != nil && !region.TryRetain() {
 		return 0, errors.New("serve: store is closed")
 	}
-	snap, err := s.buildStoreSnapshot(sv)
+	snap, err := s.buildSnapshot(nil, sv)
 	if err != nil {
 		if region != nil {
 			region.Release()
@@ -495,86 +462,69 @@ func (s *Server) SwapReader(r store.Reader) (uint64, error) {
 	return snap.gen, nil
 }
 
-// buildStoreSnapshot assembles the (un-installed, generation-less)
-// snapshot for a FormatVersion 2 store.
-func (s *Server) buildStoreSnapshot(sv *store.StoreV2) (*snapshot, error) {
-	snap := &snapshot{}
+// buildSnapshot assembles the (un-installed, generation-less)
+// snapshot serving db or, when sv is non-nil, the FormatVersion 2 store
+// sv. A store contributes what its file carries — the database, the
+// index postings as spans over the file, the response fragments — and
+// everything missing is built here: the index (or sharded cluster)
+// from the database, the fragments by marshaling. The error reports a
+// store that failed to materialize; with sv nil it is always nil.
+func (s *Server) buildSnapshot(db *core.Database, sv *store.StoreV2) (*snapshot, error) {
+	snap := &snapshot{db: db}
+	var frags *store.Fragments
+	if sv != nil {
+		var err error
+		if s.opts.Shards > 0 && !sv.Materialized() {
+			// Lazy partition: placement reads only each record's key
+			// fields, then every shard decodes just the errata it owns.
+			if snap.db, snap.cluster, err = shard.PartitionStore(sv, s.opts.Shards); err != nil {
+				return nil, err
+			}
+			frags, err = sv.FragmentsFor(snap.db.Errata())
+		} else {
+			if snap.db, err = sv.Database(); err != nil {
+				return nil, err
+			}
+			if lists := sv.IndexLists(); lists != nil && s.opts.Shards == 0 {
+				// Postings stay disk-resident: the index walks the file's
+				// arrays (or the mapping) directly via index.List spans.
+				if snap.ix, err = index.FromLists(snap.db, lists); err != nil {
+					return nil, err
+				}
+			}
+			frags, err = sv.Fragments()
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 	switch {
-	case s.opts.Shards > 0 && !sv.Materialized():
-		// Lazy partition: placement reads only each record's key fields,
-		// then every shard decodes just the errata it owns.
-		db, cluster, err := shard.PartitionStore(sv, s.opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		snap.db, snap.cluster = db, cluster
-		for _, sh := range cluster.Shards {
-			sh.IX.Instrument(s.reg)
-		}
-		frags, err := sv.FragmentsFor(db.Errata())
-		if err != nil {
-			return nil, err
-		}
-		if frags == nil {
-			frags, _ = store.BuildFragments(db)
-		}
-		snap.frags = frags
+	case snap.cluster != nil || snap.ix != nil:
+		// Supplied by the store.
 	case s.opts.Shards > 0:
-		// The corpus is already decoded and memoized (e.g. the caller
-		// built an ingester over it): partition the shared pointers
-		// rather than decoding every record a second time.
-		db, err := sv.Database()
-		if err != nil {
-			return nil, err
-		}
-		snap.db = db
-		snap.cluster = shard.Partition(db, s.opts.Shards)
+		// A decoded database (given, or memoized by the store — e.g. the
+		// caller built an ingester over it): partition the shared
+		// pointers rather than decoding every record a second time.
+		snap.cluster = shard.Partition(snap.db, s.opts.Shards)
+	default:
+		snap.ix = index.Build(snap.db)
+	}
+	if snap.cluster != nil {
 		for _, sh := range snap.cluster.Shards {
 			sh.IX.Instrument(s.reg)
 		}
-		frags, err := sv.Fragments()
-		if err != nil {
-			return nil, err
-		}
-		if frags == nil {
-			frags, _ = store.BuildFragments(db)
-		}
-		snap.frags = frags
-	default:
-		db, err := sv.Database()
-		if err != nil {
-			return nil, err
-		}
-		snap.db = db
-		if l := sv.IndexLists(); l != nil {
-			// Postings stay disk-resident: the index walks the file's
-			// arrays (or the mapping) directly via index.List spans.
-			snap.ix, err = index.FromLists(db, l)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			snap.ix = index.Build(db)
-		}
+	} else {
 		snap.ix.Instrument(s.reg)
-		frags, err := sv.Fragments()
-		if err != nil {
-			return nil, err
-		}
-		if frags == nil {
-			frags, _ = store.BuildFragments(db)
-		}
-		snap.frags = frags
 	}
+	if frags == nil {
+		// Fragments are an optimization: on a (never-observed) marshal
+		// failure frags stays nil and the snapshot serves through the
+		// encoding/json fallback.
+		frags, _ = store.BuildFragments(snap.db)
+	}
+	snap.frags = frags
 	snap.stats = snap.db.ComputeStats()
 	return snap, nil
-}
-
-// SwapStore installs the database of an opened FormatVersion 2 store.
-//
-// Deprecated: use SwapReader.
-func (s *Server) SwapStore(sv *store.StoreV2) (uint64, error) {
-	return s.SwapReader(sv)
 }
 
 // SwapDelta installs db as the served snapshot by merging against the
@@ -1420,6 +1370,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	text, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("body exceeds the %d-byte ingest limit", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}

@@ -40,8 +40,8 @@ import (
 //
 // Every access is bounds-checked eagerly by OpenV2: a truncated or
 // bit-flipped file fails with a checksum or bounds error before any
-// accessor runs. FormatVersion 1 stays readable forever; DecodeAny
-// sniffs the magic and routes to the right decoder.
+// accessor runs. FormatVersion 1 stays readable forever; Open and
+// OpenBytes sniff the magic and route to the right decoder.
 
 // FormatVersion2 identifies the flat binary serialization layout.
 const FormatVersion2 = 2
@@ -1156,65 +1156,12 @@ func (s *StoreV2) materialize() (*core.Database, error) {
 	return db, nil
 }
 
-// IndexParts reconstructs the inverted index's postings from the ORDS
-// and POSTINGS sections, without walking any annotation. It returns nil
-// when the file carries no postings (encode with V2Options.Postings).
-// Ordinal lists are sub-slices of one shared array; callers must treat
-// them as read-only, exactly like index query results.
-func (s *StoreV2) IndexParts() *index.Parts {
-	if s.post == nil {
-		return nil
-	}
-	all := make([]int, s.nOrds)
-	for i := range all {
-		all[i] = int(gu32(s.ords, i*4))
-	}
-	view := func(l v2list) []int {
-		if l.n == 0 {
-			return nil
-		}
-		return all[l.off : l.off+l.n]
-	}
-	p := &index.Parts{
-		UniqueOrds:   view(s.post.unique),
-		ComplexSet:   view(s.post.complexSet),
-		SimOnlySet:   view(s.post.simOnlySet),
-		ByVendor:     make(map[core.Vendor][]int, len(s.post.vendors)),
-		ByWorkaround: make(map[core.WorkaroundCategory][]int, len(s.post.workarounds)),
-		ByFix:        make(map[core.FixStatus][]int, len(s.post.fixes)),
-		TriggerCount: make([]int, s.nErr),
-	}
-	for _, ev := range s.post.vendors {
-		p.ByVendor[core.Vendor(ev.val)] = view(ev.list)
-	}
-	for _, ev := range s.post.workarounds {
-		p.ByWorkaround[core.WorkaroundCategory(ev.val)] = view(ev.list)
-	}
-	for _, ev := range s.post.fixes {
-		p.ByFix[core.FixStatus(ev.val)] = view(ev.list)
-	}
-	strMaps := [6]*map[string][]int{
-		&p.ByDoc, &p.ByCategory, &p.ByTriggerCat, &p.ByClass, &p.ByKey, &p.ByMSR,
-	}
-	for m, dst := range strMaps {
-		mm := make(map[string][]int, len(s.post.strMaps[m]))
-		for _, kv := range s.post.strMaps[m] {
-			mm[s.str(kv.key.off, kv.key.ln)] = view(kv.list)
-		}
-		*dst = mm
-	}
-	for i := 0; i < s.nErr; i++ {
-		p.TriggerCount[i] = int(gu32(s.post.raw, s.post.trigOff+i*4))
-	}
-	return p
-}
-
 // IndexLists reconstructs the inverted index's postings as spans over
-// the ORDS section — the disk-resident postings iterator. Unlike
-// IndexParts nothing is copied into the heap: every list reads its u32
-// ordinals straight off the file buffer (the mapping, for an
-// mmap-backed store), so compound-filter queries walk postings from
-// disk pages the kernel faults in on demand. Returns nil when the file
+// the ORDS section — the disk-resident postings iterator. Nothing is
+// copied into the heap: every list reads its u32 ordinals straight off
+// the file buffer (the mapping, for an mmap-backed store), so
+// compound-filter queries walk postings from disk pages the kernel
+// faults in on demand. Returns nil when the file
 // carries no postings. Lists are only valid while the store's region
 // holds a reference.
 func (s *StoreV2) IndexLists() *index.ListParts {
@@ -1312,18 +1259,4 @@ func (s *StoreV2) FragmentsFor(errata []*core.Erratum) (*Fragments, error) {
 		}
 	}
 	return fr, nil
-}
-
-// DecodeAny deserializes a database from either format, sniffing the
-// FormatVersion 2 magic and falling back to the JSON FormatVersion 1
-// decoder.
-//
-// Deprecated: use OpenBytes (which also sniffs gzip) and call
-// Database() on the result.
-func DecodeAny(data []byte) (*core.Database, error) {
-	r, err := OpenBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	return r.Database()
 }

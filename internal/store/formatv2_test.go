@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/index"
 )
 
 // fullV2 encodes db with every optional section enabled.
@@ -95,6 +96,53 @@ func TestV2RoundTripSeeds(t *testing.T) {
 	}
 }
 
+// TestIndexListsEquivalence proves the persisted-postings path the
+// serving layer takes: an index over a v2 file's postings spans
+// (index.FromLists over IndexLists) dumps identically to one built by
+// walking annotations, whether the file is read into the heap or
+// mmap-backed.
+func TestIndexListsEquivalence(t *testing.T) {
+	for _, seed := range []int64{1, 7, 19} {
+		gt, err := corpus.Generate(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := index.Build(gt.DB).DebugDump()
+		enc := fullV2(t, gt.DB)
+		path := filepath.Join(t.TempDir(), "db.v2")
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := map[string]func() (Reader, error){
+			"heap": func() (Reader, error) { return OpenBytes(enc) },
+		}
+		if mmapExpected() {
+			open["mmap"] = func() (Reader, error) { return Open(path, WithMmap(true)) }
+		}
+		for mode, fn := range open {
+			r, err := fn()
+			if err != nil {
+				t.Fatalf("seed %d %s: open: %v", seed, mode, err)
+			}
+			sv := r.(*StoreV2)
+			db, err := sv.Database()
+			if err != nil {
+				t.Fatalf("seed %d %s: materialize: %v", seed, mode, err)
+			}
+			ix, err := index.FromLists(db, sv.IndexLists())
+			if err != nil {
+				t.Fatalf("seed %d %s: FromLists: %v", seed, mode, err)
+			}
+			if !bytes.Equal(ix.DebugDump(), want) {
+				t.Errorf("seed %d %s: FromLists index dumps differently from Build", seed, mode)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestV2MinimalOptions proves the optional sections really are
 // optional: a bare encoding still materializes the same database.
 func TestV2MinimalOptions(t *testing.T) {
@@ -110,8 +158,8 @@ func TestV2MinimalOptions(t *testing.T) {
 	if sv.HasPostings() || sv.HasFragments() {
 		t.Fatal("bare encoding reports optional sections")
 	}
-	if sv.IndexParts() != nil {
-		t.Fatal("IndexParts should be nil without a postings section")
+	if sv.IndexLists() != nil {
+		t.Fatal("IndexLists should be nil without a postings section")
 	}
 	if fr, err := sv.Fragments(); err != nil || fr != nil {
 		t.Fatalf("Fragments = %v, %v; want nil, nil without a fragment section", fr, err)
@@ -256,8 +304,7 @@ func TestOpenV2HostileInputs(t *testing.T) {
 
 // The format-sniffing contract (both serializations read through one
 // entry point, garbage rejected) is covered by TestOpenBytesSniffs in
-// open_test.go; the deprecated DecodeAny shim keeps its one regression
-// test in deprecated_test.go.
+// open_test.go.
 
 // TestSaveFormat exercises explicit and filename-driven format
 // selection, including gzip composition, and the unknown-format error.

@@ -48,9 +48,8 @@ const (
 )
 
 type openConfig struct {
-	mmap         mmapMode
-	format       string // "", "v1", "v2": required format, "" accepts any
-	randomAccess bool
+	mmap   mmapMode
+	format string // "", "v1", "v2": required format, "" accepts any
 }
 
 // OpenOption configures Open and OpenBytes.
@@ -77,16 +76,8 @@ func WithFormat(format string) OpenOption {
 	return func(c *openConfig) { c.format = format }
 }
 
-// WithRandomAccess controls the madvise(MADV_RANDOM) hint on mapped
-// regions. It defaults to on — point lookups hop between sections, so
-// readahead drags in pages the workload never touches. Turn it off for
-// scan-heavy workloads (full exports) that benefit from readahead.
-func WithRandomAccess(on bool) OpenOption {
-	return func(c *openConfig) { c.randomAccess = on }
-}
-
 func openCfg(opts []OpenOption) openConfig {
-	cfg := openConfig{randomAccess: true}
+	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -116,8 +107,10 @@ func (c *openConfig) checkFormat(got int) error {
 // FormatVersion 2 files are mmap'ed (read-only, shared) where the
 // platform supports it, so the page cache — not the Go heap — holds
 // the corpus and a file larger than RAM stays serveable; everything
-// else is read into the heap. See WithMmap, WithFormat and
-// WithRandomAccess for the knobs.
+// else is read into the heap. Mapped regions get the
+// madvise(MADV_RANDOM) hint: point lookups hop between sections, so
+// readahead would drag in pages the workload never touches. See
+// WithMmap and WithFormat for the knobs.
 func Open(path string, opts ...OpenOption) (Reader, error) {
 	cfg := openCfg(opts)
 	switch cfg.format {
@@ -188,11 +181,9 @@ func Open(path string, opts ...OpenOption) (Reader, error) {
 		return nil, err
 	}
 	sv.region = newMappedRegion(data, munmap)
-	if cfg.randomAccess {
-		// Advisory only: a kernel refusing the hint costs readahead, not
-		// correctness.
-		_ = madviseRandom(data)
-	}
+	// Advisory only: a kernel refusing the hint costs readahead, not
+	// correctness.
+	_ = madviseRandom(data)
 	if err := cfg.checkFormat(FormatVersion2); err != nil {
 		sv.Close()
 		return nil, err
@@ -231,7 +222,7 @@ func openBytes(data []byte, cfg openConfig) (Reader, error) {
 	if err := cfg.checkFormat(FormatVersion); err != nil {
 		return nil, err
 	}
-	db, err := Decode(data)
+	db, err := decodeV1(data)
 	if err != nil {
 		return nil, err
 	}

@@ -170,6 +170,11 @@ func TestOpenBytesSniffs(t *testing.T) {
 	if _, err := OpenBytes([]byte("{"), WithFormat("v2")); err == nil {
 		t.Error("OpenBytes(junk, WithFormat(v2)) succeeded, want error")
 	}
+	// A near-miss of the v2 magic must not sniff as v2, and then fails
+	// the v1 JSON decode.
+	if _, err := OpenBytes([]byte("REMBERR?-garbage")); err == nil {
+		t.Error("OpenBytes accepted garbage")
+	}
 }
 
 func TestRegionLifecycleHeap(t *testing.T) {

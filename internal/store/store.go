@@ -134,12 +134,9 @@ func toItems(items []core.Item) []itDTO {
 	return out
 }
 
-// Decode deserializes a FormatVersion 1 JSON database and validates it
-// against the base taxonomy scheme.
-//
-// Deprecated: use OpenBytes, which sniffs the format (and gzip) instead
-// of assuming v1 JSON, and call Database() on the result.
-func Decode(data []byte) (*core.Database, error) {
+// decodeV1 deserializes a FormatVersion 1 JSON database and validates
+// it against the base taxonomy scheme.
+func decodeV1(data []byte) (*core.Database, error) {
 	var f fileDTO
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -322,22 +319,6 @@ func writeAtomicTo(path string, fill func(io.Writer) error) error {
 		return err
 	}
 	return nil
-}
-
-// Load reads a database from a file, transparently decompressing ".gz"
-// paths and sniffing the serialization format (FormatVersion 2 binary
-// or FormatVersion 1 JSON) from the content.
-//
-// Deprecated: use Open, which adds mmap-backed v2 access behind the
-// same sniffing, and call Database() on the result. Load always copies
-// the file into the heap (it never maps), so it cannot serve a corpus
-// larger than RAM.
-func Load(path string) (*core.Database, error) {
-	r, err := Open(path, WithMmap(false))
-	if err != nil {
-		return nil, err
-	}
-	return r.Database()
 }
 
 func readMaybeGzip(path string) ([]byte, error) {

@@ -16,7 +16,7 @@ func date(y, m, d int) time.Time {
 }
 
 // openDBBytes materializes a database from an encoded buffer through
-// the modern OpenBytes entry point.
+// the OpenBytes entry point.
 func openDBBytes(tb testing.TB, data []byte) *core.Database {
 	tb.Helper()
 	r, err := OpenBytes(data)
