@@ -318,10 +318,8 @@ func BenchmarkPipelineDedupParallel(b *testing.B) {
 func BenchmarkPipelineBuildParallel(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run("workers-"+strconv.Itoa(w), func(b *testing.B) {
-			opts := DefaultBuildOptions()
-			opts.Parallelism = w
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Build(opts); err != nil {
+				if _, _, err := Build(WithParallelism(w)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,7 +372,7 @@ func BenchmarkPipelineAnnotate(b *testing.B) {
 // BenchmarkPipelineBuild measures the end-to-end build.
 func BenchmarkPipelineBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Build(DefaultBuildOptions()); err != nil {
+		if _, _, err := Build(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,14 +389,22 @@ func BenchmarkStoreEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkQuery measures a composite query over the database.
+// BenchmarkQuery measures the Query scan over a representative mix of
+// narrow and broad filter combinations.
 func BenchmarkQuery(b *testing.B) {
 	db := benchDB(b)
+	queries := []*Query{
+		db.Query().Vendor(Intel).WithClass("Trg_POW").MinTriggers(2),
+		db.Query().WithCategory("Eff_HNG_hng"),
+		db.Query().Vendor(AMD).SimulationOnly(),
+		db.Query().AnyCategory("Eff_HNG_hng", "Eff_HNG_crh").Workaround(WorkaroundCategory(0)),
+		db.Query().ObservableIn("MCx_STATUS").Fix(FixStatus(0)),
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := db.Query().Vendor(Intel).WithClass("Trg_POW").MinTriggers(2).Count()
-		if n == 0 {
-			b.Fatal("empty query result")
+		q := queries[i%len(queries)]
+		if len(q.Unique()) == 0 && len(q.All()) == 0 {
+			b.Fatal("empty result")
 		}
 	}
 }

@@ -110,44 +110,45 @@ common flags: -seed N (build seed), -db FILE (load saved JSON instead),
 `)
 }
 
-func buildDB(fs *flag.FlagSet, args []string) (*rememberr.Database, error) {
+// buildFlags declares the build-configuration flags (-seed,
+// -parallelism, -cache-dir) on fs. The returned function, called after
+// fs.Parse, turns their values into Build options.
+func buildFlags(fs *flag.FlagSet) func() []rememberr.Option {
 	seed := fs.Int64("seed", 1, "corpus generator seed")
-	dbFile := fs.String("db", "", "load a saved database JSON instead of building")
 	par := fs.Int("parallelism", 0, "pipeline worker goroutines (0 = all CPUs, 1 = sequential)")
 	cacheDir := fs.String("cache-dir", "", "pipeline artifact cache directory (incremental rebuilds)")
+	return func() []rememberr.Option {
+		return []rememberr.Option{
+			rememberr.WithSeed(*seed),
+			rememberr.WithParallelism(*par),
+			rememberr.WithCache(*cacheDir),
+		}
+	}
+}
+
+func buildDB(fs *flag.FlagSet, args []string) (*rememberr.Database, error) {
+	options := buildFlags(fs)
+	dbFile := fs.String("db", "", "load a saved database JSON instead of building")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if *dbFile != "" {
 		return rememberr.Load(*dbFile)
 	}
-	opts := rememberr.DefaultBuildOptions()
-	opts.Seed = *seed
-	opts.Parallelism = *par
-	opts.CacheDir = *cacheDir
-	db, _, err := rememberr.Build(opts)
+	db, _, err := rememberr.Build(options()...)
 	return db, err
 }
 
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	out := fs.String("o", "rememberr.json", "output file")
-	seed := fs.Int64("seed", 1, "corpus generator seed")
-	par := fs.Int("parallelism", 0, "pipeline worker goroutines (0 = all CPUs, 1 = sequential)")
-	cacheDir := fs.String("cache-dir", "", "pipeline artifact cache directory (incremental rebuilds)")
+	options := buildFlags(fs)
 	format := fs.String("format", "", "store format: v1 (JSON), v2 (zero-decode binary), or empty to pick by filename (.v2 suffix)")
 	trace := fs.Bool("trace", false, "print the per-stage build timing tree")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	buildOpts := []rememberr.Option{
-		rememberr.WithSeed(*seed),
-		rememberr.WithParallelism(*par),
-	}
-	if *cacheDir != "" {
-		buildOpts = append(buildOpts, rememberr.WithCache(*cacheDir))
-	}
-	db, rep, err := rememberr.Build(buildOpts...)
+	db, rep, err := rememberr.Build(options()...)
 	if err != nil {
 		return err
 	}
@@ -196,7 +197,7 @@ func cmdStats(args []string) error {
 }
 
 func cmdList() error {
-	db, _, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, _, err := rememberr.Build()
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@ import (
 // ExampleBuild shows the end-to-end database construction and the
 // headline corpus statistics.
 func ExampleBuild() {
-	db, _, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, _, err := rememberr.Build()
 	if err != nil {
 		panic(err)
 	}
@@ -27,7 +27,7 @@ func ExampleBuild() {
 // unique bugs require a power-state transition together with at least
 // one more trigger, and are reachable from a virtual machine guest?
 func ExampleDatabase_Query() {
-	db, _, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, _, err := rememberr.Build()
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +44,7 @@ func ExampleDatabase_Query() {
 // ExampleExperiments_ByID regenerates one figure and reports whether
 // its shape checks against the paper hold.
 func ExampleExperiments_ByID() {
-	db, _, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, _, err := rememberr.Build()
 	if err != nil {
 		panic(err)
 	}

@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	db, _, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	db, _, err := rememberr.Build()
 	if err != nil {
 		log.Fatal(err)
 	}

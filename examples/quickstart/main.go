@@ -14,9 +14,10 @@ import (
 func main() {
 	// Build runs the whole pipeline: corpus acquisition, parsing,
 	// deduplication, classification with simulated four-eyes
-	// annotation, and disclosure-date inference. The seed makes the
-	// database reproducible bit for bit.
-	db, rep, err := rememberr.Build(rememberr.DefaultBuildOptions())
+	// annotation, and disclosure-date inference. With no options it
+	// builds the paper's configuration at seed 1; the same seed
+	// reproduces the database bit for bit.
+	db, rep, err := rememberr.Build()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/serve"
 )
 
@@ -28,12 +29,9 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Loaded databases carry data only: no build report, no index yet.
+	// Loaded databases carry data only: no build report.
 	if loaded.Report() != nil {
 		t.Error("loaded database has a build report")
-	}
-	if loaded.Index() != nil {
-		t.Error("loaded database has an index before BuildIndex")
 	}
 
 	s, err := serve.New(serve.WithDatabase(loaded.Core()), serve.Options{})
@@ -93,5 +91,28 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 	}
 	if got.Generation != 1 {
 		t.Errorf("fresh server reports generation %d, want 1", got.Generation)
+	}
+}
+
+// TestFromCoreContract pins the provenance contract of store-loaded
+// databases: Report is nil, and the stats/serving accessors work
+// without panicking.
+func TestFromCoreContract(t *testing.T) {
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := FromCore(gt.DB)
+	if db.Report() != nil {
+		t.Error("FromCore database has a non-nil Report")
+	}
+	if s := db.Stats(); s.Total == 0 || s.Documents == 0 {
+		t.Errorf("FromCore stats empty: %+v", s)
+	}
+	if len(db.Errata()) == 0 || len(db.Unique()) == 0 || len(db.Documents()) == 0 {
+		t.Error("FromCore accessors returned empty data")
+	}
+	if db.Scheme() == nil {
+		t.Error("FromCore database has no scheme")
 	}
 }

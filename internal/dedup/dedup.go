@@ -31,10 +31,10 @@ type Options struct {
 	// review candidates. Defaults to Jaccard; an unknown metric is an
 	// error.
 	Metric textsim.Metric
-	// Threshold is the minimum similarity for a pair to be surfaced for
-	// review. The zero value selects the default 0.6; use SetThreshold
-	// to request an explicit threshold of 0 ("review every candidate
-	// pair").
+	// Threshold is the minimum similarity, in [0, 1], for a pair to be
+	// surfaced for review. The zero value selects the default 0.6; use
+	// SetThreshold to request an explicit threshold of 0 ("review every
+	// candidate pair"). A NaN or out-of-range threshold is an error.
 	Threshold float64
 	// thresholdSet distinguishes an explicit Threshold (possibly zero,
 	// via SetThreshold) from the struct's zero value.
@@ -94,6 +94,9 @@ func Deduplicate(db *core.Database, opts Options) (*Result, error) {
 	}
 	if opts.Threshold == 0 && !opts.thresholdSet {
 		opts.Threshold = 0.6
+	}
+	if !(opts.Threshold >= 0 && opts.Threshold <= 1) {
+		return nil, fmt.Errorf("dedup: similarity threshold %v outside [0, 1]", opts.Threshold)
 	}
 	res := &Result{}
 

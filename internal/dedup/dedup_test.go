@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -514,6 +515,26 @@ func TestUnknownMetric(t *testing.T) {
 	}
 	if _, err := Deduplicate(buildSmallDB(t), Options{Metric: ""}); err != nil {
 		t.Errorf("empty metric: %v", err)
+	}
+}
+
+// TestThresholdValidation: a NaN or out-of-range threshold must fail
+// instead of silently reviewing no pair (NaN compares false to every
+// score), while both ends of [0, 1] stay valid.
+func TestThresholdValidation(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
+		opts := Options{}
+		opts.SetThreshold(bad)
+		if _, err := Deduplicate(buildSmallDB(t), opts); err == nil {
+			t.Errorf("Deduplicate accepted threshold %v", bad)
+		}
+	}
+	for _, ok := range []float64{0, 1} {
+		opts := Options{}
+		opts.SetThreshold(ok)
+		if _, err := Deduplicate(buildSmallDB(t), opts); err != nil {
+			t.Errorf("threshold %v: %v", ok, err)
+		}
 	}
 }
 

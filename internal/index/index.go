@@ -4,7 +4,7 @@
 // workaround category, fix status, observable MSR and boolean flag,
 // and answers conjunctive filter queries by sorted-slice intersection
 // (with per-filter union for disjunctive category sets) instead of the
-// O(N·filters) closure scan the fluent Query otherwise performs.
+// O(N·filters) scan the root package's fluent Query performs.
 //
 // An Index is an immutable snapshot: it is built once from a database
 // and is safe for concurrent readers, which is what the serving layer
@@ -306,7 +306,7 @@ func (q *Query) matchOrdinals() []int {
 }
 
 // All returns every matching entry (duplicates counted individually),
-// in db.Errata() order — identical to the closure scan.
+// in db.Errata() order — identical to the Query scan.
 func (q *Query) All() []*core.Erratum {
 	ords := q.matchOrdinals()
 	var out []*core.Erratum
@@ -317,7 +317,7 @@ func (q *Query) All() []*core.Erratum {
 }
 
 // Unique returns one representative per matching deduplicated erratum,
-// in db.Unique() order — identical to the closure scan.
+// in db.Unique() order — identical to the Query scan.
 func (q *Query) Unique() []*core.Erratum {
 	ords := q.matchOrdinals()
 	if len(ords) == 0 {

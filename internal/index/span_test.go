@@ -98,3 +98,17 @@ func TestSpanIndexEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild measures index construction over the full seed-1
+// corpus: tokenizing every erratum into the postings lists.
+func BenchmarkBuild(b *testing.B) {
+	gt, err := corpus.Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(gt.DB)
+	}
+}

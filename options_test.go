@@ -2,73 +2,39 @@ package rememberr
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
 
-// TestFunctionalOptionsEquivalence proves the new With* options select
-// exactly the configuration the legacy BuildOptions struct did: the
-// same seed built both ways yields the same database.
-func TestFunctionalOptionsEquivalence(t *testing.T) {
-	legacy := DefaultBuildOptions()
-	legacy.Seed = 2
-	dbA, _, err := Build(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbB, _, err := Build(WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := dbA.Stats(), dbB.Stats(); a != b {
-		t.Fatalf("stats differ between legacy and functional options:\n%+v\n%+v", a, b)
-	}
-	ea, eb := dbA.Errata(), dbB.Errata()
-	if len(ea) != len(eb) {
-		t.Fatalf("errata counts differ: %d vs %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i].FullID() != eb[i].FullID() || ea[i].Key != eb[i].Key {
-			t.Fatalf("entry %d differs: %s/%s vs %s/%s",
-				i, ea[i].FullID(), ea[i].Key, eb[i].FullID(), eb[i].Key)
-		}
-	}
-}
-
-// TestOptionOrderAndLegacyReplacement pins the documented composition
-// semantics: options apply in order, and a BuildOptions value replaces
-// the whole configuration (so trailing With* options refine it).
-// Options are applied exactly as Build does, without running a build.
-func TestOptionOrderAndLegacyReplacement(t *testing.T) {
-	apply := func(options ...Option) BuildOptions {
-		opts := DefaultBuildOptions()
+// TestOptionOrder pins the documented composition semantics: options
+// apply in order over the defaults, so a later option wins, and the
+// explicit zeros of WithSimilarityThreshold and WithAnnotationSteps
+// reach the stage graph as zeros. Options are applied exactly as Build
+// does, without running a build.
+func TestOptionOrder(t *testing.T) {
+	apply := func(options ...Option) buildOptions {
+		opts := defaultBuildOptions()
 		for _, o := range options {
-			o.applyOption(&opts)
+			o(&opts)
 		}
 		return opts
 	}
 
-	// Later options win.
+	if got := apply(); got != defaultBuildOptions() {
+		t.Errorf("no options changed the defaults: %+v", got)
+	}
 	if got := apply(WithSeed(3), WithSeed(9)); got.Seed != 9 {
 		t.Errorf("later WithSeed did not win: seed = %d", got.Seed)
 	}
-
-	// A legacy struct wipes earlier options; later ones still apply.
-	legacy := BuildOptions{Seed: 4}
-	got := apply(WithParallelism(8), legacy, WithSimilarityMetric("dice"))
-	if got.Seed != 4 || got.Parallelism != 0 || got.SimilarityMetric != "dice" {
-		t.Errorf("legacy replacement semantics broken: %+v", got)
+	if got := apply(WithSimilarityMetric("dice"), WithSimilarityMetric("")); got.SimilarityMetric != "jaccard" {
+		t.Errorf("WithSimilarityMetric(\"\") selected %q, want the default jaccard", got.SimilarityMetric)
 	}
-	// The zero-valued legacy fields resolve exactly as the old
-	// normalized() contract: threshold 0.6, steps 7, Interpolate off.
-	norm := got.normalized()
-	if norm.SimilarityThreshold != 0.6 || norm.AnnotationSteps != 7 || norm.Interpolate {
-		t.Errorf("normalized legacy config drifted: %+v", norm)
+	if got := apply(WithSimilarityThreshold(0)); got.SimilarityThreshold != 0 {
+		t.Errorf("WithSimilarityThreshold(0) resolved to %v, want explicit 0", got.SimilarityThreshold)
 	}
-
-	// The explicit-zero setters keep their semantics through options.
-	if n := apply(WithSimilarityThreshold(0)).normalized(); n.SimilarityThreshold != 0 {
-		t.Errorf("WithSimilarityThreshold(0) resolved to %v, want explicit 0", n.SimilarityThreshold)
+	if got := apply(WithAnnotationSteps(0)); got.AnnotationSteps != 0 {
+		t.Errorf("WithAnnotationSteps(0) resolved to %d, want explicit 0", got.AnnotationSteps)
 	}
 }
 
@@ -79,6 +45,19 @@ func TestUnknownSimilarityMetricFailsBuild(t *testing.T) {
 	_, _, err := Build(WithSeed(1), WithSimilarityMetric("jacard"))
 	if err == nil || !strings.Contains(err.Error(), `unknown similarity metric "jacard"`) {
 		t.Fatalf("Build with an unknown metric: err = %v, want an unknown-metric error", err)
+	}
+}
+
+// TestInvalidSimilarityThresholdFailsBuild is the regression test for
+// a NaN threshold reviewing no pair at all (NaN compares false to every
+// score): a threshold outside [0, 1] fails the build instead of
+// building a database whose duplicates were never merged.
+func TestInvalidSimilarityThresholdFailsBuild(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), -0.1, 1.5} {
+		_, _, err := Build(WithSimilarityThreshold(bad))
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("Build(WithSimilarityThreshold(%v)): err = %v, want an out-of-range error", bad, err)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/index"
 	"repro/internal/taxonomy"
 )
 
@@ -35,24 +34,18 @@ import (
 //
 // # Execution
 //
-// By default terminal operations scan all entries and evaluate every
-// filter closure per entry. After Database.BuildIndex, the same Query
-// compiles transparently to postings-list operations on the inverted
-// index (see internal/index); both paths return identical results, a
-// contract pinned by the equivalence tests.
+// Terminal operations scan the entries and evaluate every filter per
+// entry. The HTTP serving layer answers the same filters from the
+// inverted index in internal/index; tests pin both to identical
+// results.
 type Query struct {
 	db      *Database
 	filters []filter
 }
 
-// filter is one conjunctive condition in both executable forms: a
-// closure for the scan path — which deliberately receives the database
-// as an argument instead of capturing it, so filters never pin stale
-// state — and a compiler onto an index query for the indexed path.
-type filter struct {
-	pred    func(db *core.Database, e *Erratum) bool
-	compile func(iq *index.Query)
-}
+// filter is one conjunctive condition. It receives the database as an
+// argument instead of capturing it, so filters never pin stale state.
+type filter func(db *core.Database, e *Erratum) bool
 
 // Query starts a new query over all errata.
 func (db *Database) Query() *Query {
@@ -72,30 +65,21 @@ func (q *Query) with(f filter) *Query {
 
 // Vendor keeps errata of one vendor.
 func (q *Query) Vendor(v Vendor) *Query {
-	return q.with(filter{
-		pred: func(db *core.Database, e *Erratum) bool {
-			d := db.Docs[e.DocKey]
-			return d != nil && d.Vendor == v
-		},
-		compile: func(iq *index.Query) { iq.Vendor(v) },
+	return q.with(func(db *core.Database, e *Erratum) bool {
+		d := db.Docs[e.DocKey]
+		return d != nil && d.Vendor == v
 	})
 }
 
 // InDocument keeps errata of one document.
 func (q *Query) InDocument(key string) *Query {
-	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.DocKey == key },
-		compile: func(iq *index.Query) { iq.InDocument(key) },
-	})
+	return q.with(func(_ *core.Database, e *Erratum) bool { return e.DocKey == key })
 }
 
 // WithCategory keeps errata annotated with the abstract category (any
 // dimension).
 func (q *Query) WithCategory(categoryID string) *Query {
-	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Ann.Has(categoryID) },
-		compile: func(iq *index.Query) { iq.WithCategory(categoryID) },
-	})
+	return q.with(func(_ *core.Database, e *Erratum) bool { return e.Ann.Has(categoryID) })
 }
 
 // AnyCategory keeps errata annotated with at least one of the given
@@ -104,33 +88,27 @@ func (q *Query) WithCategory(categoryID string) *Query {
 // effects ("being in any of its contexts is sufficient").
 func (q *Query) AnyCategory(categoryIDs ...string) *Query {
 	ids := append([]string(nil), categoryIDs...)
-	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
-			for _, c := range ids {
-				if e.Ann.Has(c) {
-					return true
-				}
+	return q.with(func(_ *core.Database, e *Erratum) bool {
+		for _, c := range ids {
+			if e.Ann.Has(c) {
+				return true
 			}
-			return false
-		},
-		compile: func(iq *index.Query) { iq.AnyCategory(ids...) },
+		}
+		return false
 	})
 }
 
 // WithClass keeps errata with at least one item of the given class.
 func (q *Query) WithClass(classID string) *Query {
-	return q.with(filter{
-		pred: func(db *core.Database, e *Erratum) bool {
-			for _, k := range taxonomy.Kinds {
-				for _, cl := range e.Ann.Classes(k, db.Scheme) {
-					if cl == classID {
-						return true
-					}
+	return q.with(func(db *core.Database, e *Erratum) bool {
+		for _, k := range taxonomy.Kinds {
+			for _, cl := range e.Ann.Classes(k, db.Scheme) {
+				if cl == classID {
+					return true
 				}
 			}
-			return false
-		},
-		compile: func(iq *index.Query) { iq.WithClass(classID) },
+		}
+		return false
 	})
 }
 
@@ -138,76 +116,55 @@ func (q *Query) WithClass(classID string) *Query {
 // triggers (triggers are conjunctive).
 func (q *Query) WithAllTriggers(categoryIDs ...string) *Query {
 	ids := append([]string(nil), categoryIDs...)
-	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
-			for _, c := range ids {
-				found := false
-				for _, it := range e.Ann.Triggers {
-					if it.Category == c {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
+	return q.with(func(_ *core.Database, e *Erratum) bool {
+		for _, c := range ids {
+			found := false
+			for _, it := range e.Ann.Triggers {
+				if it.Category == c {
+					found = true
+					break
 				}
 			}
-			return true
-		},
-		compile: func(iq *index.Query) { iq.WithAllTriggers(ids...) },
+			if !found {
+				return false
+			}
+		}
+		return true
 	})
 }
 
 // MinTriggers keeps errata with at least n distinct trigger categories.
 func (q *Query) MinTriggers(n int) *Query {
-	return q.with(filter{
-		pred: func(db *core.Database, e *Erratum) bool {
-			return len(e.Ann.Categories(taxonomy.Trigger, db.Scheme)) >= n
-		},
-		compile: func(iq *index.Query) { iq.MinTriggers(n) },
+	return q.with(func(db *core.Database, e *Erratum) bool {
+		return len(e.Ann.Categories(taxonomy.Trigger, db.Scheme)) >= n
 	})
 }
 
 // Workaround keeps errata with the given workaround category.
 func (q *Query) Workaround(w WorkaroundCategory) *Query {
-	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.WorkaroundCat == w },
-		compile: func(iq *index.Query) { iq.Workaround(w) },
-	})
+	return q.with(func(_ *core.Database, e *Erratum) bool { return e.WorkaroundCat == w })
 }
 
 // Fix keeps errata with the given fix status.
 func (q *Query) Fix(f FixStatus) *Query {
-	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Fix == f },
-		compile: func(iq *index.Query) { iq.Fix(f) },
-	})
+	return q.with(func(_ *core.Database, e *Erratum) bool { return e.Fix == f })
 }
 
 // Complex keeps errata mentioning a complex set of conditions.
 func (q *Query) Complex() *Query {
-	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Ann.ComplexConditions },
-		compile: func(iq *index.Query) { iq.Complex() },
-	})
+	return q.with(func(_ *core.Database, e *Erratum) bool { return e.Ann.ComplexConditions })
 }
 
 // SimulationOnly keeps errata whose bug has only been observed in
 // simulation (the paper found five AMD and one Intel such erratum).
 func (q *Query) SimulationOnly() *Query {
-	return q.with(filter{
-		pred:    func(_ *core.Database, e *Erratum) bool { return e.Ann.SimulationOnly },
-		compile: func(iq *index.Query) { iq.SimulationOnly() },
-	})
+	return q.with(func(_ *core.Database, e *Erratum) bool { return e.Ann.SimulationOnly })
 }
 
 // DisclosedBetween keeps errata disclosed in [from, to).
 func (q *Query) DisclosedBetween(from, to time.Time) *Query {
-	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
-			return !e.Disclosed.IsZero() && !e.Disclosed.Before(from) && e.Disclosed.Before(to)
-		},
-		compile: func(iq *index.Query) { iq.DisclosedBetween(from, to) },
+	return q.with(func(_ *core.Database, e *Erratum) bool {
+		return !e.Disclosed.IsZero() && !e.Disclosed.Before(from) && e.Disclosed.Before(to)
 	})
 }
 
@@ -215,83 +172,43 @@ func (q *Query) DisclosedBetween(from, to time.Time) *Query {
 // (case-insensitive).
 func (q *Query) TitleContains(sub string) *Query {
 	lower := strings.ToLower(sub)
-	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
-			return strings.Contains(strings.ToLower(e.Title), lower)
-		},
-		compile: func(iq *index.Query) { iq.TitleContains(sub) },
+	return q.with(func(_ *core.Database, e *Erratum) bool {
+		return strings.Contains(strings.ToLower(e.Title), lower)
 	})
 }
 
 // ObservableIn keeps errata whose effects are observable in the given
 // MSR.
 func (q *Query) ObservableIn(msr string) *Query {
-	return q.with(filter{
-		pred: func(_ *core.Database, e *Erratum) bool {
-			for _, m := range e.Ann.MSRs {
-				if m == msr {
-					return true
-				}
+	return q.with(func(_ *core.Database, e *Erratum) bool {
+		for _, m := range e.Ann.MSRs {
+			if m == msr {
+				return true
 			}
-			return false
-		},
-		compile: func(iq *index.Query) { iq.ObservableIn(msr) },
+		}
+		return false
 	})
 }
 
 func (q *Query) match(e *Erratum) bool {
 	for _, f := range q.filters {
-		if !f.pred(q.db.core, e) {
+		if !f(q.db.core, e) {
 			return false
 		}
 	}
 	return true
 }
 
-// compiled returns the query compiled onto the database's inverted
-// index, or nil when no index has been built.
-func (q *Query) compiled() *index.Query {
-	ix := q.db.Index()
-	if ix == nil {
-		return nil
-	}
-	iq := ix.Query()
-	for _, f := range q.filters {
-		f.compile(iq)
-	}
-	return iq
-}
-
 // All returns every matching entry (duplicates counted individually).
-func (q *Query) All() []*Erratum {
-	if iq := q.compiled(); iq != nil {
-		return iq.All()
-	}
-	return q.allClosure()
-}
-
-// allClosure is the scan path: evaluate every filter closure per entry.
-func (q *Query) allClosure() []*Erratum {
-	var out []*Erratum
-	for _, e := range q.db.core.Errata() {
-		if q.match(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+func (q *Query) All() []*Erratum { return q.scan(q.db.core.Errata()) }
 
 // Unique returns one representative per matching deduplicated erratum.
-func (q *Query) Unique() []*Erratum {
-	if iq := q.compiled(); iq != nil {
-		return iq.Unique()
-	}
-	return q.uniqueClosure()
-}
+func (q *Query) Unique() []*Erratum { return q.scan(q.db.core.Unique()) }
 
-func (q *Query) uniqueClosure() []*Erratum {
+// scan keeps the entries every filter accepts, in input order.
+func (q *Query) scan(entries []*Erratum) []*Erratum {
 	var out []*Erratum
-	for _, e := range q.db.core.Unique() {
+	for _, e := range entries {
 		if q.match(e) {
 			out = append(out, e)
 		}

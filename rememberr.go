@@ -24,23 +24,23 @@
 //	fmt.Println(rememberr.NewExperiments(db).Figure10().Text)
 //
 // Build is configured with functional options (WithSeed,
-// WithParallelism, WithObservability, ...); the legacy BuildOptions
-// struct still satisfies Option, so existing callers keep compiling:
+// WithParallelism, WithCache, WithObservability, ...), applied in order
+// over the paper's configuration:
 //
 //	db, rep, err := rememberr.Build(rememberr.WithSeed(7), rememberr.WithParallelism(4))
-//	db, rep, err := rememberr.Build(legacyBuildOptions) // deprecated, still works
+//
+// Database.Query filters the built errata in process; the HTTP serving
+// layer (internal/serve) answers the same filters from an inverted
+// index.
 package rememberr
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/annotate"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dedup"
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/pipeline"
@@ -109,64 +109,52 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 type TraceSpan = obs.Span
 
 // Option configures Build. Options are applied in order over the
-// paper-faithful defaults. The legacy BuildOptions struct satisfies
-// Option by replacing the whole configuration, so pre-options call
-// sites — Build(opts) with a BuildOptions value — compile and behave
-// unchanged.
-type Option interface {
-	applyOption(*BuildOptions)
-}
-
-// optionFunc adapts a closure to the Option interface.
-type optionFunc func(*BuildOptions)
-
-func (f optionFunc) applyOption(o *BuildOptions) { f(o) }
-
-// applyOption makes the legacy options struct usable as an Option: it
-// replaces the entire configuration, reproducing the semantics of the
-// old Build(BuildOptions) signature (zero fields mean "default or
-// zero value" exactly as normalized() always resolved them).
-func (o BuildOptions) applyOption(dst *BuildOptions) { *dst = o }
+// paper-faithful defaults, so a later option overrides an earlier one.
+type Option func(*buildOptions)
 
 // WithSeed sets the corpus-generator and annotator seed; the same seed
-// reproduces the same database bit for bit.
+// reproduces the same database bit for bit (default 1).
 func WithSeed(seed int64) Option {
-	return optionFunc(func(o *BuildOptions) { o.Seed = seed })
+	return func(o *buildOptions) { o.Seed = seed }
 }
 
 // WithSimilarityMetric selects the title-similarity metric that ranks
-// duplicate candidates. Build fails on an unknown metric.
+// duplicate candidates (default and empty: Jaccard). Build fails on an
+// unknown metric.
 func WithSimilarityMetric(m Metric) Option {
-	return optionFunc(func(o *BuildOptions) { o.SimilarityMetric = m })
+	if m == "" {
+		m = textsim.MetricJaccard
+	}
+	return func(o *buildOptions) { o.SimilarityMetric = m }
 }
 
-// WithSimilarityThreshold sets the minimum title similarity for a
-// candidate pair to be reviewed. Unlike assigning the struct field, an
-// explicit 0 means "review every candidate pair" rather than falling
-// back to the default 0.6.
+// WithSimilarityThreshold sets the minimum title similarity, in [0, 1],
+// for a candidate pair to be reviewed (default 0.6); 0 reviews every
+// candidate pair. Build fails on a threshold outside [0, 1] or NaN.
 func WithSimilarityThreshold(t float64) Option {
-	return optionFunc(func(o *BuildOptions) { o.SetSimilarityThreshold(t) })
+	return func(o *buildOptions) { o.SimilarityThreshold = t }
 }
 
 // WithInterpolation enables or disables sequential-number disclosure
 // interpolation (the paper's configuration interpolates).
 func WithInterpolation(on bool) Option {
-	return optionFunc(func(o *BuildOptions) { o.Interpolate = on })
+	return func(o *buildOptions) { o.Interpolate = on }
 }
 
-// WithAnnotationSteps sets the number of four-eyes discussion batches.
-// Unlike assigning the struct field, an explicit 0 is passed to the
-// annotation stage — which rejects it — instead of being silently
-// replaced by the default 7.
+// WithAnnotationSteps sets the number of four-eyes discussion batches
+// (default 7, as in the paper). The annotation stage rejects 0, so
+// Build fails on it.
 func WithAnnotationSteps(n int) Option {
-	return optionFunc(func(o *BuildOptions) { o.SetAnnotationSteps(n) })
+	return func(o *buildOptions) { o.AnnotationSteps = n }
 }
 
 // WithParallelism bounds the worker goroutines of the parallel
-// pipeline stages (0 = GOMAXPROCS, 1 = sequential). The built database
-// is byte-identical at every value.
+// pipeline stages — document rendering and parsing, duplicate-candidate
+// scoring, and regex classification (0 = GOMAXPROCS, the default; 1 =
+// sequential). The built database and report are byte-identical at
+// every value; see the concurrency model in DESIGN.md.
 func WithParallelism(n int) Option {
-	return optionFunc(func(o *BuildOptions) { o.Parallelism = n })
+	return func(o *buildOptions) { o.Parallelism = n }
 }
 
 // WithCache enables content-addressed incremental rebuilds: every
@@ -178,9 +166,10 @@ func WithParallelism(n int) Option {
 // replays corpus through annotate from cache and re-runs just timeline
 // and validate. The built database and report are byte-identical to an
 // uncached build at every cache state and worker count; cached stages
-// appear in BuildReport.Trace with Cached set.
+// appear in BuildReport.Trace with Cached set. An empty dir disables
+// caching (the default).
 func WithCache(dir string) Option {
-	return optionFunc(func(o *BuildOptions) { o.CacheDir = dir })
+	return func(o *buildOptions) { o.CacheDir = dir }
 }
 
 // WithObservability directs the build's metrics into reg: per-stage
@@ -188,103 +177,28 @@ func WithCache(dir string) Option {
 // prefilter counters, and worker-pool queue/task counters. Pass the
 // same registry to serve.Options.Observability to expose build and
 // serving metrics on one /metrics endpoint. A nil registry disables
-// instrumentation (the default).
+// instrumentation (the default); instrumentation never changes the
+// built database.
 func WithObservability(reg *Registry) Option {
-	return optionFunc(func(o *BuildOptions) { o.Observability = reg })
+	return func(o *buildOptions) { o.Observability = reg }
 }
 
-// BuildOptions configures the end-to-end database construction.
-//
-// Deprecated: BuildOptions remains as a compatibility shim — it
-// satisfies Option, so Build(opts) keeps working — but new code should
-// compose the With* functional options instead, which cannot get the
-// zero-value footguns wrong (see SetSimilarityThreshold and
-// SetAnnotationSteps).
-type BuildOptions struct {
-	// Seed drives the corpus generator and the annotator error
-	// processes; the same seed reproduces the same database bit for bit.
-	Seed int64
-	// SimilarityMetric ranks Intel duplicate candidates (default
-	// Jaccard; see the ablation benchmarks for alternatives). Build
-	// fails on an unknown metric.
-	SimilarityMetric Metric
-	// SimilarityThreshold is the minimum title similarity for a
-	// candidate pair to be reviewed. The zero value selects the default
-	// 0.6; use SetSimilarityThreshold to request an explicit threshold
-	// of 0 ("review every candidate pair").
+// buildOptions is the resolved build configuration the stage graph
+// reads; each field is set by the With* option of the same name.
+type buildOptions struct {
+	Seed                int64
+	SimilarityMetric    Metric
 	SimilarityThreshold float64
-	// Interpolate enables sequential-number disclosure interpolation
-	// (default true, as in the paper).
-	Interpolate bool
-	// AnnotationSteps is the number of four-eyes discussion batches.
-	// The zero value selects the default 7 (as in the paper); use
-	// SetAnnotationSteps to pass an explicit value, which is validated
-	// instead of silently replaced.
-	AnnotationSteps int
-	// Parallelism bounds the number of worker goroutines used by the
-	// parallel pipeline stages: document rendering and parsing,
-	// duplicate-candidate scoring, and regex classification. 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces the fully sequential path. The
-	// built database and report are byte-identical at every value —
-	// see the concurrency model in DESIGN.md.
-	Parallelism int
-	// Observability, when non-nil, receives the build's metrics and
-	// stage spans (see WithObservability). Instrumentation never
-	// changes the built database.
-	Observability *Registry
-	// CacheDir, when non-empty, persists stage artifacts under this
-	// directory for content-addressed incremental rebuilds (see
-	// WithCache). Empty disables caching.
-	CacheDir string
-
-	// similarityThresholdSet / annotationStepsSet distinguish explicit
-	// zero values (via the setters) from unset fields.
-	similarityThresholdSet bool
-	annotationStepsSet     bool
+	Interpolate         bool
+	AnnotationSteps     int
+	Parallelism         int
+	Observability       *Registry
+	CacheDir            string
 }
 
-// SetSimilarityThreshold sets SimilarityThreshold explicitly. Unlike
-// assigning the field directly, an explicit zero survives option
-// normalization: every candidate pair is surfaced for review instead
-// of silently falling back to the default 0.6.
-//
-// Deprecated: use the WithSimilarityThreshold option, which has the
-// explicit-zero semantics built in.
-func (o *BuildOptions) SetSimilarityThreshold(t float64) {
-	o.SimilarityThreshold = t
-	o.similarityThresholdSet = true
-}
-
-// SetAnnotationSteps sets AnnotationSteps explicitly. Unlike assigning
-// the field directly, an explicit zero is passed through to the
-// annotation stage — which rejects it — instead of being silently
-// replaced by the default 7.
-//
-// Deprecated: use the WithAnnotationSteps option, which has the
-// explicit-zero semantics built in.
-func (o *BuildOptions) SetAnnotationSteps(n int) {
-	o.AnnotationSteps = n
-	o.annotationStepsSet = true
-}
-
-// normalized resolves unset options to their documented defaults
-// without disturbing explicitly set values.
-func (o BuildOptions) normalized() BuildOptions {
-	if o.SimilarityMetric == "" {
-		o.SimilarityMetric = textsim.MetricJaccard
-	}
-	if o.SimilarityThreshold == 0 && !o.similarityThresholdSet {
-		o.SimilarityThreshold = 0.6
-	}
-	if o.AnnotationSteps == 0 && !o.annotationStepsSet {
-		o.AnnotationSteps = 7
-	}
-	return o
-}
-
-// DefaultBuildOptions returns the paper-faithful configuration.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{
+// defaultBuildOptions returns the paper-faithful configuration.
+func defaultBuildOptions() buildOptions {
+	return buildOptions{
 		Seed:                1,
 		SimilarityMetric:    textsim.MetricJaccard,
 		SimilarityThreshold: 0.6,
@@ -322,38 +236,18 @@ type BuildReport struct {
 type Database struct {
 	core   *core.Database
 	report *BuildReport
-	idx    atomic.Pointer[index.Index]
-
-	// flightMu/flight coalesce concurrent BuildIndex calls into one
-	// index construction (singleflight). flightJoined, when non-nil,
-	// is invoked each time a caller joins an existing flight — a test
-	// seam that lets the singleflight tests sequence joiners
-	// deterministically.
-	flightMu     sync.Mutex
-	flight       *indexFlight
-	flightJoined func()
-}
-
-// indexFlight is one in-progress index construction; joiners block on
-// done and share the leader's result.
-type indexFlight struct {
-	done chan struct{}
-	ix   *index.Index
 }
 
 // Build runs the full pipeline: corpus generation, document rendering,
 // parsing, deduplication, classification plus simulated four-eyes
 // annotation, and disclosure-date inference. With no options it builds
-// the paper-faithful default configuration (DefaultBuildOptions);
-// options are applied in order. A legacy BuildOptions value is itself
-// an Option (it replaces the whole configuration), so existing
-// Build(opts) call sites work unchanged.
+// the paper-faithful default configuration; options are applied in
+// order over it.
 func Build(options ...Option) (*Database, *BuildReport, error) {
-	opts := DefaultBuildOptions()
-	for _, o := range options {
-		o.applyOption(&opts)
+	opts := defaultBuildOptions()
+	for _, apply := range options {
+		apply(&opts)
 	}
-	opts = opts.normalized()
 
 	reg := opts.Observability
 	if reg != nil {
@@ -386,50 +280,6 @@ func uniformFractions(n int) []float64 {
 // Core exposes the underlying database for advanced use.
 func (db *Database) Core() *core.Database { return db.core }
 
-// BuildIndex builds the inverted-index query engine over the current
-// database contents and returns it. Afterwards, Query terminal
-// operations compile to postings-list intersections instead of scanning
-// every entry; results are identical on both paths. The index is a
-// snapshot: call BuildIndex again after mutating the underlying core
-// database. Safe for concurrent use with Query execution, and
-// singleflight under contention: concurrent callers coalesce onto one
-// construction and all receive the same *index.Index; a call issued
-// after that construction finished builds a fresh snapshot.
-func (db *Database) BuildIndex() *index.Index {
-	return db.buildIndexWith(index.Build)
-}
-
-// buildIndexWith is BuildIndex with the index constructor injected, the
-// seam the singleflight tests use to hold a flight open deterministically.
-func (db *Database) buildIndexWith(build func(*core.Database) *index.Index) *index.Index {
-	db.flightMu.Lock()
-	if f := db.flight; f != nil {
-		joined := db.flightJoined
-		db.flightMu.Unlock()
-		if joined != nil {
-			joined()
-		}
-		<-f.done
-		return f.ix
-	}
-	f := &indexFlight{done: make(chan struct{})}
-	db.flight = f
-	db.flightMu.Unlock()
-
-	f.ix = build(db.core)
-	db.idx.Store(f.ix)
-
-	db.flightMu.Lock()
-	db.flight = nil
-	db.flightMu.Unlock()
-	close(f.done)
-	return f.ix
-}
-
-// Index returns the inverted index built by BuildIndex, or nil when
-// queries run on the closure-scan path.
-func (db *Database) Index() *index.Index { return db.idx.Load() }
-
 // Report returns the build report, or nil for loaded databases.
 func (db *Database) Report() *BuildReport { return db.report }
 
@@ -460,7 +310,6 @@ func (db *Database) Document(key string) *Document { return db.core.Docs[key] }
 // FromCore wraps an existing core database (e.g. one loaded from JSON)
 // in the facade. The resulting Database has no build provenance:
 // Report returns nil (callers must nil-check before reading build
-// artifacts) and Index returns nil until BuildIndex is called; every
-// other accessor — Stats, Errata, Unique, Query, the serving layer —
-// works identically to a freshly built database.
+// artifacts); every other accessor — Stats, Errata, Unique, Query, the
+// serving layer — works identically to a freshly built database.
 func FromCore(c *core.Database) *Database { return &Database{core: c} }

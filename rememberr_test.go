@@ -17,7 +17,7 @@ var (
 func testDB(t testing.TB) *Database {
 	t.Helper()
 	buildOnce.Do(func() {
-		builtDB, _, builtErr = Build(DefaultBuildOptions())
+		builtDB, _, builtErr = Build()
 	})
 	if builtErr != nil {
 		t.Fatal(builtErr)
@@ -219,7 +219,7 @@ func TestPlanCampaign(t *testing.T) {
 
 func TestBuildDeterminism(t *testing.T) {
 	db1 := testDB(t)
-	db2, _, err := Build(DefaultBuildOptions())
+	db2, _, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,8 @@ func TestBuildDeterminism(t *testing.T) {
 }
 
 func TestBuildOptionVariants(t *testing.T) {
-	opts := DefaultBuildOptions()
-	opts.Seed = 42
-	opts.SimilarityMetric = Metric("dice")
-	opts.AnnotationSteps = 5
-	opts.Interpolate = false
-	db, rep, err := Build(opts)
+	db, rep, err := Build(WithSeed(42), WithSimilarityMetric("dice"),
+		WithAnnotationSteps(5), WithInterpolation(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,7 +258,7 @@ func decodeTimelineValue(b []byte) (any, error) {
 // every worker count, so artifacts cached at one parallelism are valid
 // at all of them. Bump a stage's Version whenever its implementation
 // changes observable output.
-func buildStages(opts BuildOptions) []*pipeline.Stage {
+func buildStages(opts buildOptions) []*pipeline.Stage {
 	reg := opts.Observability
 	return []*pipeline.Stage{
 		{
